@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from . import golden, group, sequences
 from .documents import (
@@ -29,14 +28,8 @@ from .lattice import count_table, left_factors
 DEFAULT_ORDER = 60
 
 
-def _fmt_value(v) -> str:
-    if isinstance(v, Fraction) and v.denominator == 1:
-        return str(v.numerator)
-    return str(v)
-
-
 def format_matrix(mat: CoeffMatrix) -> str:
-    cells = [[_fmt_value(v) for v in row] for row in mat.entries]
+    cells = [[str(v) for v in row] for row in mat.entries]
     widths = [
         max(len(cells[n][k]) for n in range(mat.rows)) for k in range(mat.rows)
     ]
@@ -47,17 +40,29 @@ def format_matrix(mat: CoeffMatrix) -> str:
 
 
 def format_sequence(seq, fmt: str) -> str:
-    parts = [_fmt_value(v) for v in seq]
+    parts = [str(v) for v in seq]
     if fmt == "csv":
         return ", ".join(parts)
     return "\n".join(parts)
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for counts and moduli: out-of-range values are usage
+    errors rather than being clamped or coerced."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 def _read_element(args):
     order = getattr(args, "order", None)
     if getattr(args, "g", None) is not None:
         doc = {
-            "m": args.m or 1,
+            "m": args.m,
             "order": order or DEFAULT_ORDER,
             "let": [],
             "g": args.g,
@@ -83,7 +88,7 @@ def _read_sequence(args):
 def _add_element_args(p):
     p.add_argument("path", nargs="?", help="ElementDoc JSON path, or - for stdin")
     p.add_argument("--order", type=int, default=None, help="override truncation order")
-    p.add_argument("--m", type=int, default=None, help="modulus for ad-hoc elements")
+    p.add_argument("--m", type=_positive_int, default=1, help="modulus for ad-hoc elements")
     p.add_argument("--g", default=None, help="ad-hoc g expression")
     p.add_argument("--f", action="append", default=None, help="ad-hoc f expression (repeat m times)")
 
@@ -97,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("matrix", help="expand an element to a coefficient matrix")
     _add_element_args(p)
-    p.add_argument("--rows", type=int, default=10)
+    p.add_argument("--rows", type=_positive_int, default=10)
 
     p = sub.add_parser("product", help="group product of two elements (prints ElementDoc)")
     p.add_argument("path_a")
@@ -110,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("apply", help="fundamental-theorem action on a series")
     _add_element_args(p)
     p.add_argument("--gf", required=True, help="expression for the series acted on")
-    p.add_argument("--terms", type=int, default=20)
+    p.add_argument("--terms", type=_positive_int, default=20)
     p.add_argument("--format", choices=("plain", "csv"), default="plain")
 
     for verb, description in (
@@ -119,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(verb, help=description)
         _add_element_args(p)
-        p.add_argument("--terms", type=int, default=20)
+        p.add_argument("--terms", type=_positive_int, default=20)
         p.add_argument("--format", choices=("plain", "csv"), default="plain")
 
     p = sub.add_parser("hankel", help="Hankel transform of a sequence file")
@@ -128,13 +133,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("interleave", help="split a sequence into residue-class slots")
     p.add_argument("path", help="sequence file, - for stdin")
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=_positive_int, required=True)
     p.add_argument("--format", choices=("plain", "csv"), default="csv")
 
     p = sub.add_parser("lattice", help="lattice path counting table / left factors")
     p.add_argument("path", help="LatticeSpec JSON path")
-    p.add_argument("--rows", type=int, default=10)
-    p.add_argument("--left-factors", type=int, default=None, metavar="TERMS",
+    p.add_argument("--rows", type=_positive_int, default=10)
+    p.add_argument("--left-factors", type=_positive_int, default=None, metavar="TERMS",
                    help="print this many left-factor counts instead of the table")
 
     sub.add_parser("verify-paper", help="run every built-in golden fixture")

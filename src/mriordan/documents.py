@@ -39,7 +39,10 @@ def element_from_doc(doc: Mapping, order: int | None = None) -> MRiordanElement:
         order = doc_order
     bindings: dict = {}
     for item in doc.get("let", []):
-        name, expr = item["name"], item["expr"]
+        try:
+            name, expr = item["name"], item["expr"]
+        except (KeyError, TypeError):
+            raise DocumentError(f"let entry {item!r} needs a 'name' and an 'expr'")
         if name in RESERVED:
             raise DocumentError(f"binding name {name!r} is reserved")
         bindings[name] = evaluate_text(expr, order, bindings)
@@ -48,13 +51,20 @@ def element_from_doc(doc: Mapping, order: int | None = None) -> MRiordanElement:
     return new_element(m, g, f, order)
 
 
+def _parse_json(text: str | bytes):
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise DocumentError(f"malformed JSON: {exc}")
+
+
 def load_element(path, order: int | None = None) -> MRiordanElement:
-    with open(path, encoding="utf-8") as fh:
-        return element_from_doc(json.load(fh), order)
+    with open(path, "rb") as fh:
+        return element_from_json(fh.read(), order)
 
 
-def element_from_json(text: str, order: int | None = None) -> MRiordanElement:
-    return element_from_doc(json.loads(text), order)
+def element_from_json(text: str | bytes, order: int | None = None) -> MRiordanElement:
+    return element_from_doc(_parse_json(text), order)
 
 
 def series_to_expr(s: Series) -> str:
@@ -64,7 +74,7 @@ def series_to_expr(s: Series) -> str:
         if not c:
             continue
         mag = abs(c)
-        coeff = str(mag.numerator) if mag.denominator == 1 else f"{mag.numerator}/{mag.denominator}"
+        coeff = str(mag)
         if i == 0:
             text = coeff
         elif i == 1:
@@ -112,8 +122,8 @@ def lattice_from_doc(doc: Mapping) -> LatticeSpec:
 
 
 def load_lattice(path) -> LatticeSpec:
-    with open(path, encoding="utf-8") as fh:
-        return lattice_from_doc(json.load(fh))
+    with open(path, "rb") as fh:
+        return lattice_from_doc(_parse_json(fh.read()))
 
 
 def parse_sequence(text: str) -> list:

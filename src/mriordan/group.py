@@ -13,7 +13,6 @@ integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import (
@@ -24,7 +23,7 @@ from .errors import (
     OrderTooSmall,
 )
 from .series import Series, aerate, check_block_profile, compose, compress
-from .series import nth_root_unit, revert
+from .series import exact_coeff, nth_root_unit, revert
 
 
 @dataclass(frozen=True)
@@ -53,7 +52,8 @@ class MRiordanElement:
 
 @dataclass(frozen=True)
 class CoeffMatrix:
-    """Lower-triangular coefficient matrix, stored row-major and exact."""
+    """Lower-triangular coefficient matrix, stored row-major and exact;
+    entries follow the ``Series`` coefficient representation."""
 
     rows: int
     entries: tuple  # tuple of row tuples, each of length `rows`
@@ -69,31 +69,21 @@ class CoeffMatrix:
         return [sum(row) for row in self.entries]
 
     def is_integral(self) -> bool:
-        return all(
-            not isinstance(v, Fraction) or v.denominator == 1
-            for row in self.entries
-            for v in row
-        )
+        return all(v.denominator == 1 for row in self.entries for v in row)
 
     def __matmul__(self, other: "CoeffMatrix") -> "CoeffMatrix":
         # both operands are lower-triangular, so entry (n, k) only sums
         # over i in k..n
         size = self.rows
-        zero = Fraction(0)
-        if self.is_integral() and other.is_integral():
-            # plain-int arithmetic; results re-read as exact rationals
-            lhs = [[int(v) for v in row] for row in self.entries]
-            rhs = [[int(v) for v in row] for row in other.entries]
-        else:
-            lhs, rhs = self.entries, other.entries
+        rhs = other.entries
         out = []
         for n in range(size):
-            row = lhs[n]
+            row = self.entries[n]
             out.append(
                 tuple(
-                    Fraction(sum(row[i] * rhs[i][k] for i in range(k, n + 1)))
+                    exact_coeff(sum(row[i] * rhs[i][k] for i in range(k, n + 1)))
                     if k <= n
-                    else zero
+                    else 0
                     for k in range(size)
                 )
             )
@@ -102,7 +92,7 @@ class CoeffMatrix:
 
 def matrix_from_columns(columns: Sequence[Series], rows: int) -> CoeffMatrix:
     entries = tuple(
-        tuple(columns[k][n] if k <= n else Fraction(0) for k in range(rows))
+        tuple(columns[k][n] if k <= n else 0 for k in range(rows))
         for n in range(rows)
     )
     return CoeffMatrix(rows, entries)

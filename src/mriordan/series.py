@@ -4,6 +4,12 @@ A ``Series`` holds coefficients 0..order and guarantees every stated
 coefficient is exact.  Arithmetic truncates to the smaller operand order;
 nothing is ever zero-extended implicitly, because an extended coefficient
 would be a fabricated one.
+
+Every coefficient is an ``int`` or a ``Fraction`` whose denominator is not
+1 (see :func:`exact_coeff`), so integral data runs on plain int arithmetic
+and rational data falls back to ``Fraction`` without any conversion step.
+Coefficient division is always spelled ``Fraction(a, b)``: ``a / b`` on two
+ints would yield a float.
 """
 
 from __future__ import annotations
@@ -22,10 +28,15 @@ from .errors import (
 Coeff = Union[int, Fraction]
 
 
-def _frac(v) -> Fraction:
-    if isinstance(v, Fraction):
+def exact_coeff(v) -> Coeff:
+    """The one coefficient representation: an ``int``, or a ``Fraction``
+    whose denominator is not 1.  Anything else (float, Decimal, ...) is a
+    ``TypeError``, never a silent conversion."""
+    if type(v) is int:
         return v
-    return Fraction(v)
+    if isinstance(v, Fraction):
+        return v.numerator if v.denominator == 1 else v
+    raise TypeError(f"series coefficients must be int or Fraction, got {type(v).__name__}")
 
 
 class Series:
@@ -36,7 +47,7 @@ class Series:
     coeffs: tuple
 
     def __init__(self, coeffs: Iterable[Coeff]):
-        cs = tuple(_frac(c) for c in coeffs)
+        cs = tuple(map(exact_coeff, coeffs))
         if not cs:
             raise ValueError("a series needs at least the constant coefficient")
         object.__setattr__(self, "coeffs", cs)
@@ -77,7 +88,7 @@ class Series:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def __getitem__(self, n: int) -> Fraction:
+    def __getitem__(self, n: int) -> Coeff:
         return self.coeffs[n]
 
     def valuation(self) -> int:
@@ -131,23 +142,15 @@ class Series:
 
     def __mul__(self, other) -> "Series":
         if isinstance(other, (int, Fraction)):
-            k = _frac(other)
-            return Series([c * k for c in self.coeffs])
+            return Series([c * other for c in self.coeffs])
         n = min(self.order, other.order)
         a, b = self.coeffs, other.coeffs
-        # integer fast path: plain-int convolution is an order of magnitude
-        # faster than Fraction arithmetic and observationally identical
-        if all(c.denominator == 1 for c in a) and all(c.denominator == 1 for c in b):
-            a = [c.numerator for c in a]
-            b = [c.numerator for c in b]
-            out = [0] * (n + 1)
-        else:
-            out = [Fraction(0)] * (n + 1)
-        for i in range(min(len(a) - 1, n) + 1):
+        out = [0] * (n + 1)
+        for i in range(n + 1):
             ai = a[i]
             if not ai:
                 continue
-            for j in range(min(len(b) - 1, n - i) + 1):
+            for j in range(n - i + 1):
                 if b[j]:
                     out[i + j] += ai * b[j]
         return Series(out)
@@ -159,10 +162,10 @@ class Series:
         b0 = self.coeffs[0]
         if not b0:
             raise DivisionByNonUnit("reciprocal of a series with zero constant term")
-        inv0 = 1 / b0
+        inv0 = exact_coeff(Fraction(1, b0))
         out = [inv0]
         for n in range(1, self.order + 1):
-            acc = Fraction(0)
+            acc = 0
             for k in range(1, n + 1):
                 if self.coeffs[k]:
                     acc += self.coeffs[k] * out[n - k]
@@ -171,10 +174,9 @@ class Series:
 
     def __truediv__(self, other) -> "Series":
         if isinstance(other, (int, Fraction)):
-            k = _frac(other)
-            if not k:
+            if not other:
                 raise ZeroDivisionError
-            return Series([c / k for c in self.coeffs])
+            return Series([Fraction(c, other) for c in self.coeffs])
         return self * other.recip()
 
     def __rtruediv__(self, other) -> "Series":
@@ -194,16 +196,11 @@ class Series:
             n >>= 1
         return result
 
-    def derivative(self) -> "Series":
-        if self.order == 0:
-            return Series([0])
-        return Series([i * self.coeffs[i] for i in range(1, self.order + 1)])
-
     # -- shifts --------------------------------------------------------
 
     def shift_up(self, k: int = 1) -> "Series":
         """Multiply by x^k exactly; order grows by k."""
-        return Series((Fraction(0),) * k + self.coeffs)
+        return Series((0,) * k + self.coeffs)
 
     def shift_down(self, k: int = 1) -> "Series":
         """Divide by x^k; requires valuation >= k.  Order shrinks by k."""
@@ -221,18 +218,6 @@ def _coerce(v, order: int) -> Series:
 
 
 # -- named operations (functional spellings of the API surface) --------
-
-
-def add(a: Series, b: Series) -> Series:
-    return a + b
-
-
-def sub(a: Series, b: Series) -> Series:
-    return a - b
-
-
-def mul(a: Series, b: Series) -> Series:
-    return a * b
 
 
 def div(a: Series, b: Series) -> Series:
@@ -260,41 +245,18 @@ def compose(outer: Series, inner: Series) -> Series:
 
 
 def revert(f: Series) -> Series:
-    """Compositional inverse by exact Newton iteration.
-
-    Each step r <- r - (f(r) - x)/f'(r) doubles the number of correct
-    coefficients, starting from r = x/f_1.
+    """Compositional inverse by Lagrange inversion, O(N^3):
+    [x^k] fbar = (1/k) [x^{k-1}] (x/f)^k.
     """
     if f.coeffs[0] or f.order < 1 or not f.coeffs[1]:
         raise NotRevertible("reversion requires valuation exactly 1")
-    n = f.order
-    x = Series.x(n)
-    r = Series([0, 1 / f.coeffs[1]] + [0] * (n - 1))
-    fprime = Series.from_poly(f.derivative().coeffs, n)
-    correct = 1
-    while correct < n:
-        r = r - (compose(f, r) - x) / compose(fprime, r)
-        correct *= 2
-    return r
-
-
-def lagrange_revert(f: Series) -> Series:
-    """Compositional inverse by Lagrange inversion; O(N^3) test oracle.
-
-    [x^n] fbar = (1/n) [x^{n-1}] (x/f)^n.
-    """
-    if f.coeffs[0] or f.order < 1 or not f.coeffs[1]:
-        raise NotRevertible("reversion requires valuation exactly 1")
-    n = f.order
-    q = Series(f.coeffs[1:]).recip()  # x/f as a series
-    q = Series.from_poly(q.coeffs, n)
-    out = [Fraction(0), Fraction(0)]
+    q = Series(f.coeffs[1:]).recip()  # x/f, exact through order N-1
+    out = [0, q[0]]
     p = q
-    out[1] = p.coeffs[0]
-    for k in range(2, n + 1):
+    for k in range(2, f.order + 1):
         p = p * q
-        out.append(p.coeffs[k - 1] / k)
-    return Series(out[: n + 1])
+        out.append(Fraction(p[k - 1], k))
+    return Series(out)
 
 
 def nth_root_unit(u: Series, m: int) -> Series:
@@ -330,7 +292,7 @@ def aerate(s: Series, m: int, shift: int = 0, order: int | None = None) -> Serie
         order = natural
     if order > m * (s.order + 1) + shift - 1:
         raise ValueError("requested order exceeds what the source determines")
-    out = [Fraction(0)] * (order + 1)
+    out = [0] * (order + 1)
     for i, c in enumerate(s.coeffs):
         idx = m * i + shift
         if idx > order:

@@ -85,6 +85,20 @@ def test_bad_lattice_doc():
         load_lattice(FIXTURES / "example1.json")
 
 
+@pytest.mark.parametrize("content", [b'{"m": 1,', b"\xff\xfe\xff"])
+def test_malformed_json_rejected(content, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    with pytest.raises(DocumentError):
+        load_element(bad)
+
+
+def test_let_entry_without_name_or_expr_rejected():
+    for entry in ({"expr": "1+x"}, {"name": "u"}):
+        with pytest.raises(DocumentError):
+            element_from_doc(dict(EXAMPLE1_DOC, let=[entry]))
+
+
 # -- CLI ----------------------------------------------------------------
 
 
@@ -188,6 +202,29 @@ def test_cli_usage_error_exits_2():
     with pytest.raises(SystemExit) as info:
         run(["no-such-verb"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["matrix", "--m", "0", "--g", "1", "--f", "x"],
+    ["matrix", str(FIXTURES / "example1.json"), "--rows", "0"],
+    ["rowsums", str(FIXTURES / "example1.json"), "--terms", "-3"],
+    ["apply", str(FIXTURES / "example1.json"), "--gf", "1", "--terms", "-2"],
+    ["interleave", str(FIXTURES / "example1.json"), "--m", "0"],
+    ["lattice", str(FIXTURES / "lattice_threefold.json"), "--left-factors", "0"],
+])
+def test_cli_out_of_range_flags_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        run(argv)
+    assert info.value.code == 2
+    assert "must be a positive integer" in capsys.readouterr().err
+
+
+def test_cli_malformed_document_exits_1(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text("not json")
+    assert run(["matrix", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 def test_cli_verify_paper(capsys):

@@ -1,6 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mriordan import (
     BlockProfileViolation,
@@ -16,7 +19,10 @@ from mriordan import (
     identity,
     inverse,
     new_element,
+    nth_root_unit,
     product,
+    revert,
+    row_sums,
     step_series,
     step_series_root,
     to_matrix,
@@ -273,3 +279,34 @@ def test_classical_embedding_at_m3():
         embedded = new_element(3, g, [f, f, f], 14)
         classical = new_element(1, g, [f], 14)
         assert to_matrix(embedded, 15) == to_matrix(classical, 15)
+
+
+def _is_canonical(v):
+    return type(v) is int or (type(v) is Fraction and v.denominator != 1)
+
+
+@given(
+    st.sampled_from([random_proper_element, random_rational_element]),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=0, max_value=2**32),
+)
+@settings(max_examples=30, deadline=None)
+def test_outputs_keep_one_coefficient_representation(make, m, seed):
+    """Every output coefficient is an int or a non-integral Fraction."""
+    rng = random.Random(seed)
+    order = 12
+    a, b = make(rng, m, order), make(rng, m, order)
+    w = step_series(a)
+    prod, inv = product(a, b), inverse(a)
+    mat_a, mat_b = to_matrix(a, order + 1), to_matrix(b, order + 1)
+    series_out = [
+        prod.g, *prod.f,
+        inv.g, *inv.f,
+        a.g.recip(),
+        revert(w.shift_down(m - 1)),
+        nth_root_unit(w.shift_down(m), m),
+    ]
+    coeffs = [c for s in series_out for c in s.coeffs]
+    coeffs += [v for mat in (mat_a, mat_a @ mat_b) for row in mat.entries for v in row]
+    coeffs += row_sums(a, order + 1)
+    assert all(_is_canonical(c) for c in coeffs)
