@@ -25,8 +25,6 @@ from .expressions import evaluate_text
 from .group import CoeffMatrix
 from .lattice import count_table, left_factors
 
-DEFAULT_ORDER = 60
-
 
 def format_matrix(mat: CoeffMatrix) -> str:
     cells = [[str(v) for v in row] for row in mat.entries]
@@ -61,14 +59,7 @@ def _positive_int(text: str) -> int:
 def _read_element(args):
     order = getattr(args, "order", None)
     if getattr(args, "g", None) is not None:
-        doc = {
-            "m": args.m,
-            "order": order or DEFAULT_ORDER,
-            "let": [],
-            "g": args.g,
-            "f": args.f or [],
-        }
-        return element_from_doc(doc)
+        return element_from_doc({"m": args.m, "g": args.g, "f": args.f or []}, order)
     if args.path is None:
         raise DocumentError("give an element file, or --g/--f for an ad-hoc element")
     if args.path == "-":
@@ -87,7 +78,7 @@ def _read_sequence(args):
 
 def _add_element_args(p):
     p.add_argument("path", nargs="?", help="ElementDoc JSON path, or - for stdin")
-    p.add_argument("--order", type=int, default=None, help="override truncation order")
+    p.add_argument("--order", type=_positive_int, default=None, help="override truncation order")
     p.add_argument("--m", type=_positive_int, default=1, help="modulus for ad-hoc elements")
     p.add_argument("--g", default=None, help="ad-hoc g expression")
     p.add_argument("--f", action="append", default=None, help="ad-hoc f expression (repeat m times)")
@@ -107,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("product", help="group product of two elements (prints ElementDoc)")
     p.add_argument("path_a")
     p.add_argument("path_b")
-    p.add_argument("--order", type=int, default=None)
+    p.add_argument("--order", type=_positive_int, default=None)
 
     p = sub.add_parser("invert", help="group inverse of an element (prints ElementDoc)")
     _add_element_args(p)

@@ -2,6 +2,8 @@
 
 ElementDoc: { "m": int, "order": int, "let": [{"name","expr"}...],
               "g": str, "f": [str, ...] }
+m and order are integers >= 1 (order defaults to DEFAULT_ORDER), and f
+holds exactly m expressions.
 Expressions use the grammar from :mod:`mriordan.expressions`; let-bindings
 evaluate in order and are visible to later bindings and to g/f.
 
@@ -12,40 +14,69 @@ LatticeSpec: { "m": int, "rules": [[[dn, dk], ...] per residue],
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Mapping
 
 from .errors import MRiordanError
 from .expressions import RESERVED, evaluate_text
 from .group import MRiordanElement, new_element
 from .lattice import LatticeSpec
-from .series import Series
+from .series import Series, exact_coeff
+
+DEFAULT_ORDER = 60
 
 
 class DocumentError(MRiordanError):
     """Malformed or inconsistent document contents."""
 
 
+def _positive_int_field(doc: Mapping, key: str) -> int:
+    """doc[key] as a JSON integer >= 1; a bool, float or string is an error,
+    never coerced."""
+    value = doc[key]
+    if type(value) is not int or value < 1:
+        raise DocumentError(f"{key!r} must be a positive integer, got {value!r}")
+    return value
+
+
+def _text(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise DocumentError(f"{what} must be a string, got {value!r}")
+    return value
+
+
 def element_from_doc(doc: Mapping, order: int | None = None) -> MRiordanElement:
-    """Build a validated element from a parsed ElementDoc mapping."""
+    """Build a validated element from a parsed ElementDoc mapping.
+
+    Every field must have its documented JSON type; nothing is coerced.
+    """
+    if not isinstance(doc, Mapping):
+        raise DocumentError("an element document must be a JSON object")
     try:
-        m = int(doc["m"])
-        doc_order = int(doc.get("order", 60))
-        g_expr = doc["g"]
-        f_exprs = list(doc["f"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DocumentError(f"bad element document: {exc}")
+        m = _positive_int_field(doc, "m")
+        doc_order = _positive_int_field(doc, "order") if "order" in doc else DEFAULT_ORDER
+        g_expr = _text(doc["g"], "'g'")
+        f_exprs = doc["f"]
+    except KeyError as exc:
+        raise DocumentError(f"bad element document: missing {exc}")
+    if not (isinstance(f_exprs, list) and len(f_exprs) == m
+            and all(isinstance(expr, str) for expr in f_exprs)):
+        raise DocumentError(f"'f' must be a list of {m} expression strings, got {f_exprs!r}")
+    lets = doc.get("let", [])
+    if not isinstance(lets, list):
+        raise DocumentError(f"'let' must be a list, got {lets!r}")
     if order is None:
         order = doc_order
     bindings: dict = {}
-    for item in doc.get("let", []):
+    for item in lets:
         try:
             name, expr = item["name"], item["expr"]
         except (KeyError, TypeError):
             raise DocumentError(f"let entry {item!r} needs a 'name' and an 'expr'")
+        name = _text(name, "a let 'name'")
         if name in RESERVED:
             raise DocumentError(f"binding name {name!r} is reserved")
-        bindings[name] = evaluate_text(expr, order, bindings)
+        bindings[name] = evaluate_text(_text(expr, "a let 'expr'"), order, bindings)
     g = evaluate_text(g_expr, order, bindings)
     f = [evaluate_text(expr, order, bindings) for expr in f_exprs]
     return new_element(m, g, f, order)
@@ -107,12 +138,14 @@ def element_to_json(e: MRiordanElement) -> str:
 
 
 def lattice_from_doc(doc: Mapping) -> LatticeSpec:
+    if not isinstance(doc, Mapping):
+        raise DocumentError("a lattice document must be a JSON object")
     try:
-        m = int(doc["m"])
+        m = _positive_int_field(doc, "m")
         rules = doc["rules"]
-        boundary = doc.get("boundary", "standard")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DocumentError(f"bad lattice document: {exc}")
+    except KeyError as exc:
+        raise DocumentError(f"bad lattice document: missing {exc}")
+    boundary = doc.get("boundary", "standard")
     if boundary != "standard":
         raise DocumentError(f"unsupported boundary {boundary!r}")
     try:
@@ -132,7 +165,7 @@ def parse_sequence(text: str) -> list:
     out = []
     for item in items:
         try:
-            out.append(Fraction(item))
+            out.append(exact_coeff(Fraction(item)))
         except ValueError as exc:
             raise DocumentError(f"bad sequence term {item!r}: {exc}")
     return out

@@ -10,12 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import group, lattice, sequences
-from .documents import element_from_doc
+from .documents import DEFAULT_ORDER, element_from_doc
 from .expressions import evaluate_text
 from .lattice import LatticeSpec
 from .series import Series
-
-DEFAULT_ORDER = 60
 
 # -- reference element documents ----------------------------------------
 

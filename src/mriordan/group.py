@@ -62,11 +62,8 @@ class CoeffMatrix:
         n, k = nk
         return self.entries[n][k]
 
-    def column(self, k: int) -> list:
-        return [row[k] for row in self.entries]
-
     def row_sums(self) -> list:
-        return [sum(row) for row in self.entries]
+        return [exact_coeff(sum(row)) for row in self.entries]
 
     def is_integral(self) -> bool:
         return all(v.denominator == 1 for row in self.entries for v in row)
@@ -219,14 +216,6 @@ def to_matrix(e: MRiordanElement, rows: int) -> CoeffMatrix:
     return matrix_from_columns(cols, rows)
 
 
-def _eval_block(coeffs: Sequence, w: Series, order: int) -> Series:
-    """sum_k coeffs[k] * w^k at the given order (Horner over w)."""
-    acc = Series.zero(order)
-    for c in reversed(coeffs):
-        acc = acc * w + c
-    return acc
-
-
 def apply_ftra(e: MRiordanElement, G: Series) -> Series:
     """The fundamental-theorem action: (g, f_1..f_m) . G = g * G(h)."""
     check_block_profile(G, e.m, 0)
@@ -234,53 +223,6 @@ def apply_ftra(e: MRiordanElement, G: Series) -> Series:
     Ghat = compress(G.truncate(e.order), e.m, 0)
     result_hat = ghat * compose(Ghat, what)
     return aerate(result_hat, e.m, 0, order=min(e.order, G.order))
-
-
-# -- direct (aerated, x-domain) engine: kept as an independent oracle ---
-
-
-def product_direct(a: MRiordanElement, b: MRiordanElement) -> MRiordanElement:
-    """Same product, evaluated in the x-domain over w = h^m."""
-    _check_compatible(a, b)
-    n = a.order
-    w = step_series(a)
-    g = a.g * _eval_block(compress(b.g, a.m, 0).coeffs, w, n)
-    f = [
-        fa * _eval_block(compress(fb, a.m, 1).coeffs, w, n)
-        for fa, fb in zip(a.f, b.f)
-    ]
-    return new_element(a.m, g, f, n)
-
-
-def inverse_direct(e: MRiordanElement) -> MRiordanElement:
-    """Same inverse, evaluated in the x-domain."""
-    n = e.order
-    w = step_series(e)
-    wbar = revert(compress(w, e.m, 0).truncate(n // e.m))
-    hbar_m = aerate(wbar, e.m, 0, order=n)  # hbar^m as an x-series
-    g = _eval_block(compress(e.g, e.m, 0).coeffs, hbar_m, n).recip()
-    f = [
-        _eval_block(compress(fi, e.m, 1).coeffs, hbar_m, n - 1)
-        .recip()
-        .shift_up(1)
-        for fi in e.f
-    ]
-    return new_element(e.m, g, f, n)
-
-
-def product_via_root(a: MRiordanElement, b: MRiordanElement) -> MRiordanElement:
-    """Product through an explicit h; only valid when h has rational
-    coefficients (leading step coefficient 1).  Pure test oracle.
-
-    h is exact only through order N-m+1, so the result is returned at
-    that reduced order rather than padded.
-    """
-    _check_compatible(a, b)
-    h = step_series_root(a)
-    g = a.g * compose(b.g, h)
-    f = [fa * compose(fb.shift_down(1), h) for fa, fb in zip(a.f, b.f)]
-    n = min([g.order] + [fi.order for fi in f])
-    return new_element(a.m, g.truncate(n), [fi.truncate(n) for fi in f], n)
 
 
 # -- subgroup structure -------------------------------------------------

@@ -31,7 +31,9 @@ class LatticeSpec:
         if self.m < 1 or len(self.rules) != self.m:
             raise ValueError("need exactly one rule list per residue class")
         for rule in self.rules:
-            for dn, _ in rule:
+            for dn, dk in rule:
+                if type(dn) is not int or type(dk) is not int:
+                    raise TypeError("step offsets must be integers")
                 if dn < 1:
                     raise ValueError("every step must advance n (dn >= 1)")
 

@@ -7,8 +7,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import OrderTooSmall
-from .group import MRiordanElement, step_series, to_matrix
-from .series import Series
+from .group import MRiordanElement, step_series
+from .series import Coeff, Series, exact_coeff
 
 
 def _prefix_products(e: MRiordanElement) -> list:
@@ -63,34 +63,21 @@ def bivariate_table(e: MRiordanElement, rows: int) -> list:
     return [[cols[k][n] for k in range(n + 1)] for n in range(rows)]
 
 
-def matrix_row_sums(e: MRiordanElement, terms: int) -> list:
-    """Row sums by literally summing matrix rows; cross-check path."""
-    return to_matrix(e, terms).row_sums()
-
-
-def matrix_diagonal_sums(e: MRiordanElement, terms: int) -> list:
-    """sum_k a_{n-k,k} straight off the matrix; cross-check path."""
-    mat = to_matrix(e, terms)
-    return [
-        sum(mat[n - k, k] for k in range(n // 2 + 1)) for n in range(terms)
-    ]
-
-
 # -- Hankel transform ----------------------------------------------------
 
 
-def bareiss_determinant(rows: Sequence[Sequence]) -> Fraction:
+def bareiss_determinant(rows: Sequence[Sequence]) -> Coeff:
     """Exact determinant by fraction-free (Bareiss) elimination.
 
-    For integer input every intermediate value stays an integer; rational
-    input works the same way since the divisions are exact by construction.
+    Every division is exact, so integer input stays in ints throughout;
+    rational input runs the same steps on ``Fraction`` entries.
     """
     n = len(rows)
     if n == 0:
-        return Fraction(1)
-    a = [[Fraction(v) for v in row] for row in rows]
+        return 1
+    a = [list(row) for row in rows]
     sign = 1
-    prev = Fraction(1)
+    prev = 1
     for k in range(n - 1):
         if not a[k][k]:
             for i in range(k + 1, n):
@@ -99,32 +86,12 @@ def bareiss_determinant(rows: Sequence[Sequence]) -> Fraction:
                     sign = -sign
                     break
             else:
-                return Fraction(0)
+                return 0
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) / prev
-            a[i][k] = Fraction(0)
+                a[i][j] = exact_coeff(Fraction(a[i][j] * a[k][k] - a[i][k] * a[k][j], prev))
         prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def naive_determinant(rows: Sequence[Sequence]) -> Fraction:
-    """Cofactor expansion; exponential-time oracle for small matrices."""
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    if n == 1:
-        return Fraction(rows[0][0])
-    total = Fraction(0)
-    for j in range(n):
-        if not rows[0][j]:
-            continue
-        minor = [
-            [row[c] for c in range(n) if c != j] for row in rows[1:]
-        ]
-        term = Fraction(rows[0][j]) * naive_determinant(minor)
-        total += term if j % 2 == 0 else -term
-    return total
+    return exact_coeff(sign * a[n - 1][n - 1])
 
 
 def hankel_transform(seq: Sequence) -> list:
@@ -143,13 +110,3 @@ def interleave_split(seq: Sequence, m: int) -> list:
     if m < 1:
         raise ValueError("m must be >= 1")
     return [list(seq[j::m]) for j in range(m)]
-
-
-def interleave(slots: Sequence[Sequence]) -> list:
-    """Inverse of interleave_split (up to trailing-length bookkeeping)."""
-    m = len(slots)
-    total = sum(len(s) for s in slots)
-    out = []
-    for n in range(total):
-        out.append(slots[n % m][n // m])
-    return out

@@ -91,13 +91,6 @@ class Series:
     def __getitem__(self, n: int) -> Coeff:
         return self.coeffs[n]
 
-    def valuation(self) -> int:
-        """Index of the first nonzero coefficient; order+1 if all zero."""
-        for i, c in enumerate(self.coeffs):
-            if c:
-                return i
-        return self.order + 1
-
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.coeffs)
 
@@ -215,15 +208,6 @@ def _coerce(v, order: int) -> Series:
     if isinstance(v, Series):
         return v
     return Series.constant(v, order)
-
-
-# -- named operations (functional spellings of the API surface) --------
-
-
-def div(a: Series, b: Series) -> Series:
-    if not b.coeffs[0]:
-        raise DivisionByNonUnit("division by a series with zero constant term")
-    return a / b
 
 
 def compose(outer: Series, inner: Series) -> Series:

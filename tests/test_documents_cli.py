@@ -211,12 +211,56 @@ def test_cli_usage_error_exits_2():
     ["apply", str(FIXTURES / "example1.json"), "--gf", "1", "--terms", "-2"],
     ["interleave", str(FIXTURES / "example1.json"), "--m", "0"],
     ["lattice", str(FIXTURES / "lattice_threefold.json"), "--left-factors", "0"],
+    ["matrix", "--order", "0", "--g", "1", "--f", "x", "--rows", "3"],
+    ["invert", str(FIXTURES / "example1.json"), "--order", "-5"],
+    ["product", str(FIXTURES / "example1.json"), str(FIXTURES / "example2.json"), "--order", "0"],
 ])
 def test_cli_out_of_range_flags_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as info:
         run(argv)
     assert info.value.code == 2
     assert "must be a positive integer" in capsys.readouterr().err
+
+
+ADHOC_DOC = {"m": 1, "order": 10, "g": "1/(1-x)", "f": ["x"]}
+LATTICE_DOC = {"m": 1, "rules": [[[1, 1], [1, -2]]]}
+
+
+@pytest.mark.parametrize("case", [
+    ("matrix", dict(ADHOC_DOC, m=1.7)),
+    ("matrix", dict(ADHOC_DOC, m=True)),
+    ("matrix", dict(ADHOC_DOC, m="1")),
+    ("matrix", dict(ADHOC_DOC, m=0)),
+    ("matrix", dict(ADHOC_DOC, order=10.9)),
+    ("matrix", dict(ADHOC_DOC, order=0)),
+    ("matrix", dict(ADHOC_DOC, f="x")),
+    ("matrix", dict(ADHOC_DOC, f=[5])),
+    ("matrix", dict(ADHOC_DOC, f=["x", "x"])),
+    ("matrix", dict(ADHOC_DOC, g=1)),
+    ("matrix", dict(ADHOC_DOC, let=[{"name": "u", "expr": 5}])),
+    ("matrix", dict(ADHOC_DOC, let=[{"name": ["u"], "expr": "x"}])),
+    ("matrix", dict(ADHOC_DOC, let=5)),
+    ("matrix", [ADHOC_DOC]),
+    ("lattice", dict(LATTICE_DOC, m=1.7)),
+    ("lattice", dict(LATTICE_DOC, m=True)),
+    ("lattice", dict(LATTICE_DOC, m="1")),
+    ("lattice", dict(LATTICE_DOC, m=0)),
+    ("lattice", dict(LATTICE_DOC, rules=[[[1.5, 1]]])),
+    ("lattice", dict(LATTICE_DOC, rules=[[[1, True]]])),
+    ["matrix", "--m", "2", "--g", "1", "--f", "x"],
+    ["matrix", "--g", "1"],
+])
+def test_cli_mistyped_document_exits_1(case, capsys, tmp_path):
+    """A field of the wrong JSON type or out of range, or the wrong number
+    of f expressions, is one error line: never coerced, never a traceback."""
+    if isinstance(case, tuple):
+        verb, doc = case
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        case = [verb, str(path)]
+    assert run(case) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 def test_cli_malformed_document_exits_1(capsys, tmp_path):

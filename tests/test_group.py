@@ -13,11 +13,15 @@ from mriordan import (
     OrderTooSmall,
     Series,
     apply_ftra,
+    bivariate_table,
     classify_subgroups,
     decompose_semidirect,
+    diagonal_sums,
     evaluate_text,
+    hankel_transform,
     identity,
     inverse,
+    left_factors,
     new_element,
     nth_root_unit,
     product,
@@ -27,7 +31,10 @@ from mriordan import (
     step_series_root,
     to_matrix,
 )
-from mriordan.group import inverse_direct, product_direct, product_via_root
+from mriordan.documents import lattice_from_doc, parse_sequence
+from mriordan.golden import THREEFOLD_DOC
+from mriordan.sequences import bareiss_determinant
+from oracles import inverse_direct, product_direct, product_via_root
 
 from conftest import random_proper_element, random_rational_element
 
@@ -292,7 +299,9 @@ def _is_canonical(v):
 )
 @settings(max_examples=30, deadline=None)
 def test_outputs_keep_one_coefficient_representation(make, m, seed):
-    """Every output coefficient is an int or a non-integral Fraction."""
+    """Every returned value (series coefficients, matrix entries, derived
+    sequences, determinants, parsed terms) is an int or a non-integral
+    Fraction."""
     rng = random.Random(seed)
     order = 12
     a, b = make(rng, m, order), make(rng, m, order)
@@ -308,5 +317,13 @@ def test_outputs_keep_one_coefficient_representation(make, m, seed):
     ]
     coeffs = [c for s in series_out for c in s.coeffs]
     coeffs += [v for mat in (mat_a, mat_a @ mat_b) for row in mat.entries for v in row]
-    coeffs += row_sums(a, order + 1)
+    rs = row_sums(a, order + 1)
+    coeffs += rs
+    coeffs += hankel_transform(rs)
+    coeffs.append(bareiss_determinant([[rs[i + j + 1] for j in range(5)] for i in range(5)]))
+    coeffs += diagonal_sums(a, order + 1)
+    coeffs += [v for row in bivariate_table(a, order + 1) for v in row]
+    coeffs += mat_a.row_sums() + (mat_a @ mat_b).row_sums()
+    coeffs += left_factors(lattice_from_doc(THREEFOLD_DOC), order + 1)
+    coeffs += parse_sequence("1, 4/2, 3/4")
     assert all(_is_canonical(c) for c in coeffs)

@@ -16,15 +16,10 @@ from mriordan import (
     row_sums,
     to_matrix,
 )
-from mriordan.sequences import (
-    bareiss_determinant,
-    interleave,
-    matrix_diagonal_sums,
-    matrix_row_sums,
-    naive_determinant,
-)
+from mriordan.sequences import bareiss_determinant
 
 from conftest import random_proper_element
+from oracles import interleave, matrix_diagonal_sums, matrix_row_sums, naive_determinant
 
 
 def test_row_sums_example1(example1):
