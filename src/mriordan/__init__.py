@@ -28,7 +28,6 @@ from .group import (
     new_element,
     product,
     step_series,
-    step_series_root,
     to_matrix,
 )
 from .lattice import LatticeSpec, VerifyReport, count_table, left_factors, verify_against_gf

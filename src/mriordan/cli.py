@@ -63,17 +63,20 @@ def _read_element(args):
     if args.path is None:
         raise DocumentError("give an element file, or --g/--f for an ad-hoc element")
     if args.path == "-":
-        return element_from_json(sys.stdin.read(), order)
+        return element_from_json(_read_text("-"), order)
     return load_element(args.path, order)
 
 
-def _read_sequence(args):
-    if args.path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(args.path, encoding="utf-8") as fh:
-            text = fh.read()
-    return parse_sequence(text)
+def _read_text(path) -> str:
+    """A file, or stdin for "-", as UTF-8 text; bytes that do not decode are
+    a ``DocumentError``."""
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "rb") as fh:
+            return fh.read().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DocumentError(f"{path} is not UTF-8 text: {exc}")
 
 
 def _add_element_args(p):
@@ -170,10 +173,10 @@ def _dispatch(args) -> int:
         e = _read_element(args)
         print(format_sequence(sequences.diagonal_sums(e, args.terms), args.format))
     elif verb == "hankel":
-        seq = _read_sequence(args)
+        seq = parse_sequence(_read_text(args.path))
         print(format_sequence(sequences.hankel_transform(seq), args.format))
     elif verb == "interleave":
-        seq = _read_sequence(args)
+        seq = parse_sequence(_read_text(args.path))
         for slot in sequences.interleave_split(seq, args.m):
             print(format_sequence(slot, args.format))
     elif verb == "lattice":

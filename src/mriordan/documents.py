@@ -9,6 +9,9 @@ evaluate in order and are visible to later bindings and to g/f.
 
 LatticeSpec: { "m": int, "rules": [[[dn, dk], ...] per residue],
                "boundary": "standard" }
+
+A key not shown above is an error, and so is a let name that the
+expression tokenizer does not read as one identifier.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 
 from .errors import MRiordanError
-from .expressions import RESERVED, evaluate_text
+from .expressions import RESERVED, evaluate_text, is_identifier
 from .group import MRiordanElement, new_element
 from .lattice import LatticeSpec
 from .series import Series, exact_coeff
@@ -39,6 +42,13 @@ def _positive_int_field(doc: Mapping, key: str) -> int:
     return value
 
 
+def _check_keys(doc: Mapping, known: set, what: str) -> None:
+    """A key outside `known` (a misspelt "lets", say) is an error, never dropped."""
+    unknown = sorted(set(doc) - known)
+    if unknown:
+        raise DocumentError(f"unknown key(s) in {what}: {', '.join(map(repr, unknown))}")
+
+
 def _text(value, what: str) -> str:
     if not isinstance(value, str):
         raise DocumentError(f"{what} must be a string, got {value!r}")
@@ -52,6 +62,7 @@ def element_from_doc(doc: Mapping, order: int | None = None) -> MRiordanElement:
     """
     if not isinstance(doc, Mapping):
         raise DocumentError("an element document must be a JSON object")
+    _check_keys(doc, {"m", "order", "let", "g", "f"}, "an element document")
     try:
         m = _positive_int_field(doc, "m")
         doc_order = _positive_int_field(doc, "order") if "order" in doc else DEFAULT_ORDER
@@ -73,7 +84,10 @@ def element_from_doc(doc: Mapping, order: int | None = None) -> MRiordanElement:
             name, expr = item["name"], item["expr"]
         except (KeyError, TypeError):
             raise DocumentError(f"let entry {item!r} needs a 'name' and an 'expr'")
+        _check_keys(item, {"name", "expr"}, "a let entry")
         name = _text(name, "a let 'name'")
+        if not is_identifier(name):
+            raise DocumentError(f"binding name {name!r} is not an identifier")
         if name in RESERVED:
             raise DocumentError(f"binding name {name!r} is reserved")
         bindings[name] = evaluate_text(_text(expr, "a let 'expr'"), order, bindings)
@@ -100,26 +114,16 @@ def element_from_json(text: str | bytes, order: int | None = None) -> MRiordanEl
 
 def series_to_expr(s: Series) -> str:
     """Render a truncated series as a polynomial expression string."""
-    parts = []
+    out = ""
     for i, c in enumerate(s.coeffs):
         if not c:
             continue
-        mag = abs(c)
-        coeff = str(mag)
-        if i == 0:
-            text = coeff
-        elif i == 1:
-            text = "x" if mag == 1 else f"{coeff}*x"
-        else:
-            text = f"x^{i}" if mag == 1 else f"{coeff}*x^{i}"
-        parts.append(("-" if c < 0 else "+", text))
-    if not parts:
-        return "0"
-    sign, first = parts[0]
-    out = ("-" if sign == "-" else "") + first
-    for sign, text in parts[1:]:
-        out += sign + text
-    return out
+        term = str(abs(c))
+        if i:
+            power = "x" if i == 1 else f"x^{i}"
+            term = power if term == "1" else f"{term}*{power}"
+        out += ("-" if c < 0 else "+") + term
+    return out.removeprefix("+") or "0"
 
 
 def element_to_doc(e: MRiordanElement) -> dict:
@@ -140,6 +144,7 @@ def element_to_json(e: MRiordanElement) -> str:
 def lattice_from_doc(doc: Mapping) -> LatticeSpec:
     if not isinstance(doc, Mapping):
         raise DocumentError("a lattice document must be a JSON object")
+    _check_keys(doc, {"m", "rules", "boundary"}, "a lattice document")
     try:
         m = _positive_int_field(doc, "m")
         rules = doc["rules"]

@@ -8,11 +8,13 @@ Grammar (left-associative, standard precedence):
     atom   := int | 'x' | ident | ident '(' expr ')' | '(' expr ')'
 
 Reserved identifiers: ``x``, ``sqrt``, ``catalan``.  Any other identifier
-must be supplied as a binding at evaluation time.
+must be supplied as a binding at evaluation time.  Parentheses, unary
+minus and calls nest at most MAX_NESTING levels deep.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Mapping, Union
 
@@ -25,6 +27,10 @@ from .errors import (
 from .series import Series, catalan_series, compose, sqrt_unit
 
 RESERVED = {"x", "sqrt", "catalan"}
+
+# Each level costs the recursive-descent parser a few stack frames, so the
+# bound keeps parsing and evaluation well inside Python's recursion limit.
+MAX_NESTING = 100
 
 
 @dataclass(frozen=True)
@@ -74,6 +80,7 @@ class _Tokenizer:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0  # factors currently being parsed, one per nesting level
 
     def peek(self):
         t = self.text
@@ -102,6 +109,14 @@ class _Tokenizer:
         kind, text, pos = self.peek()
         self.pos = pos + len(text)
         return kind, text, pos
+
+
+def is_identifier(text: str) -> bool:
+    """True if the tokenizer reads all of `text` as one identifier."""
+    try:
+        return _Tokenizer(text).peek() == ("ident", text, 0)
+    except ExprSyntaxError:
+        return False
 
 
 def parse(text: str) -> Node:
@@ -137,14 +152,19 @@ def _parse_term(tok) -> Node:
 
 def _parse_factor(tok) -> Node:
     kind, _, pos = tok.peek()
+    tok.depth += 1
+    if tok.depth > MAX_NESTING:
+        raise ExprSyntaxError(f"expression nested more than {MAX_NESTING} levels deep", pos)
     if kind == "-":
         tok.next()
-        return Neg(_parse_factor(tok), pos)
-    node = _parse_atom(tok)
-    kind, _, pos = tok.peek()
-    if kind == "^":
-        tok.next()
-        node = Pow(node, _parse_exponent(tok), pos)
+        node = Neg(_parse_factor(tok), pos)
+    else:
+        node = _parse_atom(tok)
+        kind, _, pos = tok.peek()
+        if kind == "^":
+            tok.next()
+            node = Pow(node, _parse_exponent(tok), pos)
+    tok.depth -= 1
     return node
 
 
@@ -211,6 +231,9 @@ def _wrap(node: Node, atom: bool) -> str:
     return text
 
 
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
 def evaluate(node: Node, bindings: Mapping[str, Series], order: int) -> Series:
     """Evaluate to an exact Series of the given order."""
     if isinstance(node, Num):
@@ -226,18 +249,20 @@ def evaluate(node: Node, bindings: Mapping[str, Series], order: int) -> Series:
     if isinstance(node, Neg):
         return -evaluate(node.arg, bindings, order)
     if isinstance(node, Bin):
-        a = evaluate(node.left, bindings, order)
-        b = evaluate(node.right, bindings, order)
-        try:
-            if node.op == "+":
-                return a + b
-            if node.op == "-":
-                return a - b
-            if node.op == "*":
-                return a * b
-            return a / b
-        except MRiordanError as exc:
-            raise EvaluationError(str(exc), node.pos, cause=exc)
+        # a long sum or product parses to a left-leaning chain; walk it with
+        # a loop so that its length costs no recursion depth
+        chain = []
+        while isinstance(node, Bin):
+            chain.append(node)
+            node = node.left
+        acc = evaluate(node, bindings, order)
+        for link in reversed(chain):
+            rhs = evaluate(link.right, bindings, order)
+            try:
+                acc = _BINARY[link.op](acc, rhs)
+            except MRiordanError as exc:
+                raise EvaluationError(str(exc), link.pos, cause=exc)
+        return acc
     if isinstance(node, Pow):
         base = evaluate(node.base, bindings, order)
         if node.exponent < 0 and not base[0]:

@@ -365,7 +365,7 @@ def _fixtures():
 
     def lattice_gf_columns():
         g, f1, f2, f3 = lattice_column_series(21)
-        cols = lattice.column_gfs(g, [f1, f2, f3], 6)
+        cols = group.column_gfs(g, [f1, f2, f3], 6)
         return lattice.verify_against_gf(threefold, cols, 21).ok
 
     def lattice_left_factor_gf():

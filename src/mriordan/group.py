@@ -13,6 +13,7 @@ integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import Sequence
 
 from .errors import (
@@ -23,7 +24,7 @@ from .errors import (
     OrderTooSmall,
 )
 from .series import Series, aerate, check_block_profile, compose, compress
-from .series import exact_coeff, nth_root_unit, revert
+from .series import exact_coeff, revert
 
 
 @dataclass(frozen=True)
@@ -87,14 +88,6 @@ class CoeffMatrix:
         return CoeffMatrix(size, tuple(out))
 
 
-def matrix_from_columns(columns: Sequence[Series], rows: int) -> CoeffMatrix:
-    entries = tuple(
-        tuple(columns[k][n] if k <= n else 0 for k in range(rows))
-        for n in range(rows)
-    )
-    return CoeffMatrix(rows, entries)
-
-
 def new_element(m: int, g: Series, f: Sequence[Series], order: int | None = None) -> MRiordanElement:
     """Validate and build an element; raises on any profile violation."""
     if m < 1:
@@ -131,18 +124,9 @@ def identity(m: int, order: int) -> MRiordanElement:
 
 
 def step_series(e: MRiordanElement) -> Series:
-    """w = f_1 * ... * f_m = h^m; valuation m, block residue 0."""
-    w = e.f[0]
-    for fi in e.f[1:]:
-        w = w * fi
-    return w
-
-
-def step_series_root(e: MRiordanElement) -> Series:
-    """Display-only h = (f_1...f_m)^{1/m}; needs (f_1)_1*...*(f_m)_1 = 1."""
-    w = step_series(e)
-    u = w.shift_down(e.m)
-    return nth_root_unit(u, e.m).shift_up(1)
+    """w = f_1 * ... * f_m = h^m; valuation m, block residue 0.  It is the
+    compressed step series of the element, aerated back to the x-domain."""
+    return aerate(_compressed(e)[2], e.m, 0, order=e.order)
 
 
 def _compressed(e: MRiordanElement):
@@ -153,10 +137,7 @@ def _compressed(e: MRiordanElement):
     """
     ghat = compress(e.g, e.m, 0)
     fhats = [compress(fi, e.m, 1) for fi in e.f]
-    prod = fhats[0]
-    for fh in fhats[1:]:
-        prod = prod * fh
-    what = prod.shift_up(1).truncate(e.order // e.m)
+    what = prod(fhats[1:], start=fhats[0]).shift_up(1).truncate(e.order // e.m)
     return ghat, fhats, what
 
 
@@ -200,20 +181,28 @@ def inverse(e: MRiordanElement) -> MRiordanElement:
     return _rebuild(e.m, inv_ghat, inv_fhats, e.order)
 
 
-def to_matrix(e: MRiordanElement, rows: int) -> CoeffMatrix:
-    """Expand the element to `rows` rows.
+def column_gfs(g: Series, f: Sequence[Series], ncols: int) -> list:
+    """The first `ncols` column generating functions of an m-Riordan matrix:
+    g, g*f_1, g*f_1*f_2, ..., each column the previous one times the next
+    f_i in cyclic order.  The series need not be block-profiled."""
+    cols = [g]
+    for k in range(1, ncols):
+        cols.append(cols[-1] * f[(k - 1) % len(f)])
+    return cols
 
-    Column generating functions follow the pattern g, g*f_1, g*f_1*f_2, ...:
-    each column is the previous one times the next f in cyclic order.
-    """
+
+def to_matrix(e: MRiordanElement, rows: int) -> CoeffMatrix:
+    """Expand the element to `rows` rows; column k is the k-th series of
+    ``column_gfs``."""
     if rows < 1:
         raise ValueError("rows must be >= 1")
     if rows > e.order + 1:
         raise OrderTooSmall(f"{rows} rows need order >= {rows - 1}, have {e.order}")
-    cols = [e.g]
-    for k in range(1, rows):
-        cols.append(cols[-1] * e.f[(k - 1) % e.m])
-    return matrix_from_columns(cols, rows)
+    cols = column_gfs(e.g, e.f, rows)
+    entries = tuple(
+        tuple(cols[k][n] if k <= n else 0 for k in range(rows)) for n in range(rows)
+    )
+    return CoeffMatrix(rows, entries)
 
 
 def apply_ftra(e: MRiordanElement, G: Series) -> Series:

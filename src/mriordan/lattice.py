@@ -65,15 +65,6 @@ def left_factors(spec: LatticeSpec, terms: int) -> list:
     return count_table(spec, terms).row_sums()
 
 
-def column_gfs(g: Series, f: Sequence[Series], ncols: int) -> list:
-    """Columns following the m-Riordan pattern g, g*f_1, g*f_1*f_2, ...
-    with the f_i cycling; here the series need not be block-profiled."""
-    cols = [g]
-    for k in range(1, ncols):
-        cols.append(cols[-1] * f[(k - 1) % len(f)])
-    return cols
-
-
 @dataclass(frozen=True)
 class VerifyReport:
     ok: bool

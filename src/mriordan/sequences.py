@@ -7,24 +7,17 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import OrderTooSmall
-from .group import MRiordanElement, step_series
+from .group import MRiordanElement, column_gfs, step_series, to_matrix
 from .series import Coeff, Series, exact_coeff
-
-
-def _prefix_products(e: MRiordanElement) -> list:
-    """[1, f_1, f_1*f_2, ..., f_1*...*f_{m-1}] at the element's order."""
-    out = [Series.one(e.order)]
-    for fi in e.f[: e.m - 1]:
-        out.append(out[-1] * fi)
-    return out
 
 
 def row_sums(e: MRiordanElement, terms: int) -> list:
     """Row sums via the closed generating function
-    g * (1 + f_1 + f_1 f_2 + ...) / (1 - f_1...f_m)."""
+    (g + g f_1 + ... + g f_1...f_{m-1}) / (1 - f_1...f_m): every later
+    column repeats one of the first m times a power of the step series."""
     if terms > e.order + 1:
         raise OrderTooSmall(f"{terms} terms need order >= {terms - 1}")
-    num = e.g * sum(_prefix_products(e), Series.zero(e.order))
+    num = sum(column_gfs(e.g, e.f, e.m), Series.zero(e.order))
     den = 1 - step_series(e)
     return list((num / den).coeffs[:terms])
 
@@ -36,31 +29,18 @@ def diagonal_sums(e: MRiordanElement, terms: int) -> list:
         raise OrderTooSmall(f"{terms} terms need order >= {terms - 1}")
     n = e.order
     num = Series.zero(n)
-    for j, p in enumerate(_prefix_products(e)):
-        num = num + (e.g * p).shift_up(j).truncate(n)
+    for j, col in enumerate(column_gfs(e.g, e.f, e.m)):
+        num = num + col.shift_up(j).truncate(n)
     den = 1 - step_series(e).shift_up(e.m).truncate(n)
     return list((num / den).coeffs[:terms])
 
 
 def bivariate_table(e: MRiordanElement, rows: int) -> list:
     """Rows of the bivariate expansion: row n is the coefficient list (over
-    powers of y) of [x^n] in g*(sum_j y^j f_1..f_j)/(1 - y^m f_1..f_m).
-
-    Expanding the geometric series in y^m*w gives column k = j + m*r the
-    generating function g * (f_1..f_j) * w^r, an expansion path independent
-    of the incremental column products used by ``to_matrix``.
-    """
-    if rows > e.order + 1:
-        raise OrderTooSmall(f"{rows} rows need order >= {rows - 1}")
-    w = step_series(e)
-    prefixes = [e.g * p for p in _prefix_products(e)]
-    cols = []
-    wpow = Series.one(e.order)
-    for r in range(rows // e.m + 1):
-        for j in range(e.m):
-            cols.append(prefixes[j] * wpow)
-        wpow = wpow * w
-    return [[cols[k][n] for k in range(n + 1)] for n in range(rows)]
+    powers of y) of [x^n] in g*(sum_j y^j f_1..f_j)/(1 - y^m f_1..f_m),
+    that is, row n of the element's matrix through the diagonal."""
+    mat = to_matrix(e, rows)
+    return [list(row[: n + 1]) for n, row in enumerate(mat.entries)]
 
 
 # -- Hankel transform ----------------------------------------------------

@@ -244,18 +244,23 @@ def revert(f: Series) -> Series:
 
 
 def nth_root_unit(u: Series, m: int) -> Series:
-    """The unique v with v^m = u and v(0) = 1, via Newton iteration."""
+    """The unique v with v^m = u and v(0) = 1, by J. C. P. Miller's power
+    recurrence (Knuth, TAOCP vol. 2, 4.7), O(N^2):
+    m*n*v_n = sum_{k=1..n} ((m+1)*k - m*n) * u_k * v_{n-k}.
+    """
     if m < 1:
         raise ValueError("root index must be positive")
     if u.coeffs[0] != 1:
         raise RootRequiresUnitConstant("m-th root requires constant term 1")
-    n = u.order
-    v = Series.one(n)
-    correct = 1
-    while correct <= n:
-        v = v - (v**m - u) / (m * v ** (m - 1))
-        correct *= 2
-    return v
+    uc = u.coeffs
+    v = [1]
+    for n in range(1, len(uc)):
+        acc = 0
+        for k in range(1, n + 1):
+            if uc[k]:
+                acc += ((m + 1) * k - m * n) * uc[k] * v[n - k]
+        v.append(exact_coeff(Fraction(acc, m * n)))
+    return Series(v)
 
 
 def sqrt_unit(u: Series) -> Series:

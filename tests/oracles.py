@@ -2,24 +2,32 @@
 
 None of these is used by the package itself: each recomputes a result of
 the shipped engine by a different route (the aerated x-domain engine, an
-explicit m-th root, cofactor expansion, literal matrix sums).
+explicit m-th root, the bivariate expansion, cofactor expansion, literal
+matrix sums).
 """
 
 from fractions import Fraction
 from typing import Sequence
 
-from mriordan.group import (
-    MRiordanElement,
-    _check_compatible,
-    new_element,
-    step_series,
-    step_series_root,
-    to_matrix,
-)
-from mriordan.series import Series, aerate, compose, compress, revert
+from mriordan.group import MRiordanElement, _check_compatible, new_element, to_matrix
+from mriordan.series import Series, aerate, compose, compress, nth_root_unit, revert
 
 
 # -- direct (aerated, x-domain) engine ------------------------------------
+
+
+def step_product(e: MRiordanElement) -> Series:
+    """w = f_1 * ... * f_m multiplied out in the x-domain at full order."""
+    w = e.f[0]
+    for fi in e.f[1:]:
+        w = w * fi
+    return w
+
+
+def step_series_root(e: MRiordanElement) -> Series:
+    """Display-only h = (f_1...f_m)^{1/m}; needs (f_1)_1*...*(f_m)_1 = 1."""
+    u = step_product(e).shift_down(e.m)
+    return nth_root_unit(u, e.m).shift_up(1)
 
 
 def _eval_block(coeffs: Sequence, w: Series, order: int) -> Series:
@@ -34,7 +42,7 @@ def product_direct(a: MRiordanElement, b: MRiordanElement) -> MRiordanElement:
     """Same product, evaluated in the x-domain over w = h^m."""
     _check_compatible(a, b)
     n = a.order
-    w = step_series(a)
+    w = step_product(a)
     g = a.g * _eval_block(compress(b.g, a.m, 0).coeffs, w, n)
     f = [
         fa * _eval_block(compress(fb, a.m, 1).coeffs, w, n)
@@ -46,7 +54,7 @@ def product_direct(a: MRiordanElement, b: MRiordanElement) -> MRiordanElement:
 def inverse_direct(e: MRiordanElement) -> MRiordanElement:
     """Same inverse, evaluated in the x-domain."""
     n = e.order
-    w = step_series(e)
+    w = step_product(e)
     wbar = revert(compress(w, e.m, 0).truncate(n // e.m))
     hbar_m = aerate(wbar, e.m, 0, order=n)  # hbar^m as an x-series
     g = _eval_block(compress(e.g, e.m, 0).coeffs, hbar_m, n).recip()
@@ -75,6 +83,23 @@ def product_via_root(a: MRiordanElement, b: MRiordanElement) -> MRiordanElement:
 
 
 # -- derived sequences -----------------------------------------------------
+
+
+def bivariate_expansion(e: MRiordanElement, rows: int) -> list:
+    """Rows of g*(sum_j y^j f_1..f_j)/(1 - y^m w) expanded as a geometric
+    series in y^m*w: column k = j + m*r has the generating function
+    g * (f_1..f_j) * w^r, a route independent of the incremental column
+    products of ``to_matrix``.  Row n lists columns 0..n."""
+    prefixes = [e.g]
+    for fi in e.f[: e.m - 1]:
+        prefixes.append(prefixes[-1] * fi)
+    w = step_product(e)
+    cols = []
+    wpow = Series.one(e.order)
+    for r in range(rows // e.m + 1):
+        cols += [p * wpow for p in prefixes]
+        wpow = wpow * w
+    return [[cols[k][n] for k in range(n + 1)] for n in range(rows)]
 
 
 def matrix_row_sums(e: MRiordanElement, terms: int) -> list:

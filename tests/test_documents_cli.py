@@ -17,6 +17,7 @@ from mriordan.documents import (
     parse_sequence,
     series_to_expr,
 )
+from mriordan import golden
 from mriordan.golden import EXAMPLE1_DOC, THREEFOLD_DOC
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -27,6 +28,19 @@ def test_fixture_files_match_embedded_docs():
     assert loaded == element_from_doc(EXAMPLE1_DOC)
     spec = load_lattice(FIXTURES / "lattice_threefold.json")
     assert spec.m == THREEFOLD_DOC["m"]
+
+
+@pytest.mark.parametrize("name, doc", [
+    ("example1.json", golden.EXAMPLE1_DOC),
+    ("example2.json", golden.EXAMPLE2_DOC),
+    ("example3.json", golden.EXAMPLE3_DOC),
+    ("lattice_threefold.json", golden.THREEFOLD_DOC),
+    ("lattice_up1_down2.json", golden.STEPSET_1UP_2DOWN_DOC),
+])
+def test_fixture_files_equal_golden_docs(name, doc):
+    """The fixture files (read by the CLI) and the golden constants (read by
+    verify-paper) are two copies of the same documents."""
+    assert json.loads((FIXTURES / name).read_text(encoding="utf-8")) == doc
 
 
 def test_let_bindings_evaluate_in_order():
@@ -249,16 +263,41 @@ LATTICE_DOC = {"m": 1, "rules": [[[1, 1], [1, -2]]]}
     ("lattice", dict(LATTICE_DOC, rules=[[[1, True]]])),
     ["matrix", "--m", "2", "--g", "1", "--f", "x"],
     ["matrix", "--g", "1"],
+    ("matrix", dict(ADHOC_DOC, lets=[{"name": "u", "expr": "x"}])),
+    ("matrix", dict(ADHOC_DOC, extra=1)),
+    ("matrix", dict(ADHOC_DOC, let=[{"name": "u", "expr": "x", "value": 1}])),
+    ("matrix", dict(ADHOC_DOC, let=[{"name": "a b", "expr": "1"}])),
+    ("matrix", dict(ADHOC_DOC, let=[{"name": "2u", "expr": "1"}])),
+    ("matrix", dict(ADHOC_DOC, let=[{"name": "", "expr": "1"}])),
+    ("lattice", dict(LATTICE_DOC, rule=[[[1, 1]]])),
+    ("lattice", dict(LATTICE_DOC, boundry="standard")),
 ])
 def test_cli_mistyped_document_exits_1(case, capsys, tmp_path):
-    """A field of the wrong JSON type or out of range, or the wrong number
-    of f expressions, is one error line: never coerced, never a traceback."""
+    """A field of the wrong JSON type or out of range, an unknown key, a let
+    name that is not an identifier, or the wrong number of f expressions,
+    is one error line: never coerced or dropped, never a traceback."""
     if isinstance(case, tuple):
         verb, doc = case
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(doc))
         case = [verb, str(path)]
     assert run(case) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [["hankel"], ["interleave", "--m", "2"]])
+def test_cli_non_utf8_sequence_file_exits_1(argv, capsys, tmp_path):
+    path = tmp_path / "seq.txt"
+    path.write_bytes(b"\xff\n")
+    assert run([argv[0], str(path), *argv[1:]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_cli_deeply_nested_expression_exits_1(capsys):
+    nested = "(" * 300 + "1" + ")" * 300
+    assert run(["matrix", "--g", nested, "--f", "x", "--rows", "2"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.splitlines()) == 1
 

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +15,7 @@ from mriordan import (
     sqrt_unit,
     to_text,
 )
-from mriordan.expressions import Bin, Call, Neg, Num, Pow, Var
+from mriordan.expressions import MAX_NESTING, Bin, Call, Neg, Num, Pow, Var
 
 
 def strip(node):
@@ -68,6 +70,29 @@ def test_syntax_errors_carry_offsets():
         parse("x^y")
     with pytest.raises(UnknownIdentifier):
         parse("foo(x)")  # only sqrt/catalan may be called
+
+
+@pytest.mark.parametrize("text", [
+    "(" * 300 + "1" + ")" * 300,
+    "-" * 300 + "x",
+    "sqrt(" * 300 + "1" + ")" * 300,
+], ids=["parentheses", "unary-minus", "calls"])
+def test_deep_nesting_is_a_syntax_error(text):
+    with pytest.raises(ExprSyntaxError, match="nested more than"):
+        parse(text)
+
+
+def test_nesting_within_the_bound_evaluates():
+    depth = MAX_NESTING - 1
+    assert evaluate_text("(" * depth + "x" + ")" * depth, 3) == Series.x(3)
+    assert evaluate_text("-" * depth + "x", 3) == -Series.x(3)
+    assert evaluate_text("sqrt(" * depth + "1+x" + ")" * depth, 3)[1] == Fraction(1, 2**depth)
+
+
+def test_long_chains_evaluate():
+    terms = 3000
+    assert list(evaluate_text("+".join(["x"] * terms), 2).coeffs) == [0, terms, 0]
+    assert evaluate_text("*".join(["(1+x)"] * terms), 1) == Series([1, terms])
 
 
 def test_unknown_identifier_at_evaluation():

@@ -28,13 +28,18 @@ from mriordan import (
     revert,
     row_sums,
     step_series,
-    step_series_root,
     to_matrix,
 )
 from mriordan.documents import lattice_from_doc, parse_sequence
 from mriordan.golden import THREEFOLD_DOC
 from mriordan.sequences import bareiss_determinant
-from oracles import inverse_direct, product_direct, product_via_root
+from oracles import (
+    inverse_direct,
+    product_direct,
+    product_via_root,
+    step_product,
+    step_series_root,
+)
 
 from conftest import random_proper_element, random_rational_element
 
@@ -78,6 +83,15 @@ def test_step_series(example1, example2):
     assert step_series(example1) == want
     want2 = evaluate_text("x^3*(1+x^3)", example2.order)
     assert step_series(example2) == want2
+
+
+@pytest.mark.parametrize("make", [random_proper_element, random_rational_element])
+def test_step_series_is_the_product_of_the_f(make):
+    rng = random.Random(11)
+    for m in (1, 2, 3, 4):
+        for order in (m, 13, 24):
+            e = make(rng, m, order)
+            assert step_series(e) == step_product(e)
 
 
 def test_step_series_root(example1):

@@ -17,7 +17,7 @@ from mriordan.golden import (
     THREEFOLD_MATRIX,
     lattice_column_series,
 )
-from mriordan.lattice import column_gfs
+from mriordan.group import column_gfs
 from mriordan.series import aerate
 
 

@@ -19,7 +19,13 @@ from mriordan import (
 from mriordan.sequences import bareiss_determinant
 
 from conftest import random_proper_element
-from oracles import interleave, matrix_diagonal_sums, matrix_row_sums, naive_determinant
+from oracles import (
+    bivariate_expansion,
+    interleave,
+    matrix_diagonal_sums,
+    matrix_row_sums,
+    naive_determinant,
+)
 
 
 def test_row_sums_example1(example1):
@@ -74,8 +80,10 @@ def test_bivariate_matches_matrix(example1, example2):
         rows = 12
         mat = to_matrix(e, rows)
         table = bivariate_table(e, rows)
+        expansion = bivariate_expansion(e, rows)
         for n in range(rows):
             assert table[n] == [mat[n, k] for k in range(n + 1)]
+            assert expansion[n] == [mat[n, k] for k in range(n + 1)]
 
 
 def test_bivariate_paper_rows(example1, example2):

@@ -158,6 +158,28 @@ def test_sqrt_examples():
     assert s * s == Series.from_poly([1, -4], N)
 
 
+rational_coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+@given(
+    st.lists(st.one_of(st.integers(min_value=-5, max_value=5), rational_coeffs), max_size=14),
+    st.integers(min_value=1, max_value=5),
+)
+@settings(max_examples=60, deadline=None)
+def test_nth_root_inverts_power(tail, m):
+    u = Series([1] + tail)
+    assert nth_root_unit(u, m) ** m == u
+
+
+@given(coeff_lists, st.integers(min_value=1, max_value=5))
+@settings(max_examples=60, deadline=None)
+def test_root_of_integer_power_is_integral(tail, m):
+    v = Series([1] + tail)
+    root = nth_root_unit(v**m, m)
+    assert root == v
+    assert all(type(c) is int for c in root.coeffs)
+
+
 def test_root_requires_unit_constant():
     with pytest.raises(RootRequiresUnitConstant):
         nth_root_unit(Series.from_poly([2], 4), 2)
