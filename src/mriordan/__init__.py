@@ -7,6 +7,7 @@ from .errors import (
     DivisionByNonUnit,
     EvaluationError,
     ExprSyntaxError,
+    InvalidArgument,
     MixedModulus,
     MixedOrder,
     MRiordanError,

@@ -171,6 +171,6 @@ def parse_sequence(text: str) -> list:
     for item in items:
         try:
             out.append(exact_coeff(Fraction(item)))
-        except ValueError as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise DocumentError(f"bad sequence term {item!r}: {exc}")
     return out

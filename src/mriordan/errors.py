@@ -5,6 +5,11 @@ class MRiordanError(Exception):
     """Base class for all domain errors."""
 
 
+class InvalidArgument(MRiordanError, ValueError):
+    """An argument outside its documented range (a count below 1, say).
+    Also a ``ValueError``, so callers that catch that keep working."""
+
+
 class DivisionByNonUnit(MRiordanError):
     """Division by a series whose constant term is zero."""
 

@@ -212,23 +212,31 @@ def to_text(node: Node) -> str:
     if isinstance(node, Var):
         return node.name
     if isinstance(node, Neg):
-        return f"-{_wrap(node.arg, atom=True)}"
+        return f"-{_wrap(node.arg)}"
     if isinstance(node, Pow):
-        return f"{_wrap(node.base, atom=True)}^{node.exponent}"
+        return f"{_wrap(node.base, (Bin, Neg, Pow))}^{node.exponent}"
     if isinstance(node, Call):
         return f"{node.func}({to_text(node.arg)})"
     if isinstance(node, Bin):
-        left = _wrap(node.left, atom=node.op in "*/")
-        right = _wrap(node.right, atom=True)
-        return f"{left}{node.op}{right}"
+        # a long sum or product parses to a left-leaning chain; print it with
+        # a loop, as evaluate walks it, so that its length costs no recursion
+        # depth.  The loop stops at a left operand that is not a Bin, or at a
+        # sum or difference under '*' or '/': the one left operand that needs
+        # parentheses.
+        chain = [node]
+        while isinstance(node.left, Bin) and not (node.op in "*/" and node.left.op in "+-"):
+            node = node.left
+            chain.append(node)
+        return _wrap(node.left, Bin) + "".join(
+            link.op + _wrap(link.right) for link in reversed(chain)
+        )
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def _wrap(node: Node, atom: bool) -> str:
+def _wrap(node: Node, kinds=(Bin, Neg)) -> str:
+    """to_text(node), parenthesised if the node is one of `kinds`."""
     text = to_text(node)
-    if atom and isinstance(node, (Bin, Neg)):
-        return f"({text})"
-    return text
+    return f"({text})" if isinstance(node, kinds) else text
 
 
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}

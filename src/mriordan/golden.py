@@ -7,13 +7,13 @@ lattice counting) and compares it against the frozen reference data below.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from . import group, lattice, sequences
 from .documents import DEFAULT_ORDER, element_from_doc
 from .expressions import evaluate_text
 from .lattice import LatticeSpec
-from .series import Series
 
 # -- reference element documents ----------------------------------------
 
@@ -227,14 +227,6 @@ class FixtureResult:
     detail: str = ""
 
 
-def _matrix_equals(mat: group.CoeffMatrix, expected) -> bool:
-    return all(
-        mat[n, k] == expected[n][k]
-        for n in range(len(expected))
-        for k in range(len(expected))
-    )
-
-
 def lattice_column_series(order: int):
     """The closed-form column series (g, f_1, f_2, f_3) for the three-fold
     lattice; f_1 = (1/x)(1 - 1/g) is derived rather than parsed."""
@@ -246,158 +238,79 @@ def lattice_column_series(order: int):
 
 
 def _fixtures():
-    e1 = element_from_doc(EXAMPLE1_DOC)
-    e2 = element_from_doc(EXAMPLE2_DOC)
-    e3 = element_from_doc(EXAMPLE3_DOC)
+    """(name, check) rows in report order.  Each check is a thunk, so
+    ``run_all`` runs it inside its own ``try``; an element's inverse is
+    computed once and shared by every check that needs it."""
+    e1, e2, e3 = map(element_from_doc, (EXAMPLE1_DOC, EXAMPLE2_DOC, EXAMPLE3_DOC))
     order = e1.order
-
-    def ex1_matrix():
-        return _matrix_equals(group.to_matrix(e1, 9), EXAMPLE1_MATRIX)
-
-    def ex1_row_sums():
-        return sequences.row_sums(e1, 21) == EXAMPLE1_ROW_SUMS
-
-    def ex1_interleaving():
-        slots = sequences.interleave_split(sequences.row_sums(e1, 21), 3)
-        return slots == EXAMPLE1_SLOTS
-
-    def ex1_inverse_closed_form():
-        inv = group.inverse(e1)
-        want = [evaluate_text(t, order) for t in EXAMPLE1_INVERSE_EXPRS]
-        return inv.g == want[0] and list(inv.f) == want[1:]
-
-    def ex1_inverse_matrix():
-        return _matrix_equals(
-            group.to_matrix(group.inverse(e1), 9), EXAMPLE1_INVERSE_MATRIX
-        )
-
-    def ex1_inverse_is_inverse():
-        ident = group.identity(3, order)
-        return group.product(e1, group.inverse(e1)) == ident
-
-    def ex1_inverse_row_sums():
-        return (
-            sequences.row_sums(group.inverse(e1), 23)
-            == EXAMPLE1_INVERSE_ROW_SUMS
-        )
-
-    def ex1_ftra():
-        arg = evaluate_text(FTRA_ARG_EXPR, order)
-        got = group.apply_ftra(e1, arg)
-        return list(got.coeffs[:21]) == FTRA_EXAMPLE1_RESULT
-
-    def ex1_inverse_ftra():
-        arg = evaluate_text(FTRA_ARG_EXPR, order)
-        got = group.apply_ftra(group.inverse(e1), arg)
-        return list(got.coeffs[:21]) == FTRA_EXAMPLE1_INVERSE_RESULT
-
-    def ex1_semidirect():
-        left, right = group.decompose_semidirect(e1)
-        return group.product(left, right) == e1
-
-    def ex2_matrix():
-        return _matrix_equals(group.to_matrix(e2, 9), EXAMPLE2_MATRIX)
-
-    def ex2_row_sums():
-        return sequences.row_sums(e2, 23) == EXAMPLE2_ROW_SUMS
-
-    def ex2_ftra():
-        arg = evaluate_text(FTRA2_ARG_EXPR, order)
-        want = evaluate_text(FTRA_EXAMPLE2_RESULT_EXPR, order)
-        return group.apply_ftra(e2, arg) == want
-
-    def ex2_inverse_closed_form():
-        inv = group.inverse(e2)
-        want = [evaluate_text(t, order) for t in EXAMPLE2_INVERSE_EXPRS]
-        return inv.g == want[0] and list(inv.f) == want[1:]
-
-    def ex2_inverse_matrix():
-        return _matrix_equals(
-            group.to_matrix(group.inverse(e2), 10), EXAMPLE2_INVERSE_MATRIX
-        )
-
-    def ex2_inverse_row_sums():
-        return (
-            sequences.row_sums(group.inverse(e2), 21)
-            == EXAMPLE2_INVERSE_ROW_SUMS
-        )
-
-    def ex2_hankel_claims():
-        rs = sequences.row_sums(group.inverse(e2), 30)
-        slots = sequences.interleave_split(rs, 3)
-        for slot, want in zip(slots, HANKEL_SLOT_EXPECTED):
-            if sequences.hankel_transform(slot)[:5] != want:
-                return False
-        return True
-
-    def ex3_classical():
-        return "Classical" in group.classify_subgroups(e3)
-
-    def ex3_inverse_matrix():
-        return _matrix_equals(
-            group.to_matrix(group.inverse(e3), 10), EXAMPLE3_INVERSE_MATRIX
-        )
-
-    def ex3_inverse_row_sums():
-        return (
-            sequences.row_sums(group.inverse(e3), 17) == EXAMPLE3_ROW_SUMS
-        )
-
-    def ex3_lattice_match():
-        spec = LatticeSpec.from_lists(
-            STEPSET_1UP_2DOWN_DOC["m"], STEPSET_1UP_2DOWN_DOC["rules"]
-        )
-        return lattice.count_table(spec, 10) == group.to_matrix(
-            group.inverse(e3), 10
-        )
-
-    threefold = LatticeSpec.from_lists(
-        THREEFOLD_DOC["m"], THREEFOLD_DOC["rules"]
+    threefold = LatticeSpec.from_lists(THREEFOLD_DOC["m"], THREEFOLD_DOC["rules"])
+    up1down2 = LatticeSpec.from_lists(
+        STEPSET_1UP_2DOWN_DOC["m"], STEPSET_1UP_2DOWN_DOC["rules"]
     )
+    inverse = functools.cache(group.inverse)  # exceptions are not cached
 
-    def lattice_matrix():
-        return _matrix_equals(
-            lattice.count_table(threefold, 10), THREEFOLD_MATRIX
-        )
+    def matrix_is(mat, rows):
+        return [list(row) for row in mat.entries] == rows
 
-    def lattice_left_factors():
-        return lattice.left_factors(threefold, 11) == THREEFOLD_LEFT_FACTORS
+    def closed_form(e, exprs):
+        return [e.g, *e.f] == [evaluate_text(t, order) for t in exprs]
 
-    def lattice_gf_columns():
-        g, f1, f2, f3 = lattice_column_series(21)
-        cols = group.column_gfs(g, [f1, f2, f3], 6)
-        return lattice.verify_against_gf(threefold, cols, 21).ok
-
-    def lattice_left_factor_gf():
-        gf = evaluate_text(LATTICE_LEFT_FACTOR_GF_EXPR, 20)
-        return list(gf.coeffs) == lattice.left_factors(threefold, 21)
+    def ftra_head(e, expected):
+        arg = evaluate_text(FTRA_ARG_EXPR, order)
+        return list(group.apply_ftra(e, arg).coeffs[: len(expected)]) == expected
 
     return [
-        ("example1/matrix", ex1_matrix),
-        ("example1/row-sums", ex1_row_sums),
-        ("example1/interleaving", ex1_interleaving),
-        ("example1/inverse-closed-form", ex1_inverse_closed_form),
-        ("example1/inverse-matrix", ex1_inverse_matrix),
-        ("example1/inverse-round-trip", ex1_inverse_is_inverse),
-        ("example1/inverse-row-sums", ex1_inverse_row_sums),
-        ("example1/ftra", ex1_ftra),
-        ("example1/inverse-ftra", ex1_inverse_ftra),
-        ("example1/semidirect-split", ex1_semidirect),
-        ("example2/matrix", ex2_matrix),
-        ("example2/row-sums", ex2_row_sums),
-        ("example2/ftra", ex2_ftra),
-        ("example2/inverse-closed-form", ex2_inverse_closed_form),
-        ("example2/inverse-matrix", ex2_inverse_matrix),
-        ("example2/inverse-row-sums", ex2_inverse_row_sums),
-        ("example2/hankel-transforms", ex2_hankel_claims),
-        ("example3/classical-embedding", ex3_classical),
-        ("example3/inverse-matrix", ex3_inverse_matrix),
-        ("example3/inverse-row-sums", ex3_inverse_row_sums),
-        ("example3/lattice-recurrence-match", ex3_lattice_match),
-        ("lattice/count-table", lattice_matrix),
-        ("lattice/left-factors", lattice_left_factors),
-        ("lattice/column-gfs", lattice_gf_columns),
-        ("lattice/left-factor-gf", lattice_left_factor_gf),
+        ("example1/matrix", lambda: matrix_is(group.to_matrix(e1, 9), EXAMPLE1_MATRIX)),
+        ("example1/row-sums", lambda: sequences.row_sums(e1, 21) == EXAMPLE1_ROW_SUMS),
+        ("example1/interleaving", lambda: sequences.interleave_split(
+            sequences.row_sums(e1, 21), 3) == EXAMPLE1_SLOTS),
+        ("example1/inverse-closed-form", lambda: closed_form(
+            inverse(e1), EXAMPLE1_INVERSE_EXPRS)),
+        ("example1/inverse-matrix", lambda: matrix_is(
+            group.to_matrix(inverse(e1), 9), EXAMPLE1_INVERSE_MATRIX)),
+        ("example1/inverse-round-trip", lambda: group.product(
+            e1, inverse(e1)) == group.identity(3, order)),
+        ("example1/inverse-row-sums", lambda: sequences.row_sums(
+            inverse(e1), 23) == EXAMPLE1_INVERSE_ROW_SUMS),
+        ("example1/ftra", lambda: ftra_head(e1, FTRA_EXAMPLE1_RESULT)),
+        ("example1/inverse-ftra", lambda: ftra_head(
+            inverse(e1), FTRA_EXAMPLE1_INVERSE_RESULT)),
+        ("example1/semidirect-split", lambda: group.product(
+            *group.decompose_semidirect(e1)) == e1),
+        ("example2/matrix", lambda: matrix_is(group.to_matrix(e2, 9), EXAMPLE2_MATRIX)),
+        ("example2/row-sums", lambda: sequences.row_sums(e2, 23) == EXAMPLE2_ROW_SUMS),
+        ("example2/ftra", lambda: group.apply_ftra(
+            e2, evaluate_text(FTRA2_ARG_EXPR, order))
+            == evaluate_text(FTRA_EXAMPLE2_RESULT_EXPR, order)),
+        ("example2/inverse-closed-form", lambda: closed_form(
+            inverse(e2), EXAMPLE2_INVERSE_EXPRS)),
+        ("example2/inverse-matrix", lambda: matrix_is(
+            group.to_matrix(inverse(e2), 10), EXAMPLE2_INVERSE_MATRIX)),
+        ("example2/inverse-row-sums", lambda: sequences.row_sums(
+            inverse(e2), 21) == EXAMPLE2_INVERSE_ROW_SUMS),
+        ("example2/hankel-transforms", lambda: [
+            sequences.hankel_transform(slot)[:5]
+            for slot in sequences.interleave_split(sequences.row_sums(inverse(e2), 30), 3)
+        ] == HANKEL_SLOT_EXPECTED),
+        ("example3/classical-embedding", lambda: "Classical" in group.classify_subgroups(e3)),
+        ("example3/inverse-matrix", lambda: matrix_is(
+            group.to_matrix(inverse(e3), 10), EXAMPLE3_INVERSE_MATRIX)),
+        ("example3/inverse-row-sums", lambda: sequences.row_sums(
+            inverse(e3), 17) == EXAMPLE3_ROW_SUMS),
+        ("example3/lattice-recurrence-match", lambda: lattice.count_table(
+            up1down2, 10) == group.to_matrix(inverse(e3), 10)),
+        ("lattice/count-table", lambda: matrix_is(
+            lattice.count_table(threefold, 10), THREEFOLD_MATRIX)),
+        ("lattice/left-factors", lambda: lattice.left_factors(
+            threefold, 11) == THREEFOLD_LEFT_FACTORS),
+        ("lattice/column-gfs", lambda: lattice.verify_against_gf(
+            threefold,
+            (lambda g, *f: group.column_gfs(g, f, 6))(*lattice_column_series(21)),
+            21,
+        ).ok),
+        ("lattice/left-factor-gf", lambda: list(
+            evaluate_text(LATTICE_LEFT_FACTOR_GF_EXPR, 20).coeffs)
+            == lattice.left_factors(threefold, 21)),
     ]
 
 

@@ -18,6 +18,7 @@ from typing import Sequence
 
 from .errors import (
     BlockProfileViolation,
+    InvalidArgument,
     MixedModulus,
     MixedOrder,
     NonUnitLeadingCoefficient,
@@ -91,10 +92,10 @@ class CoeffMatrix:
 def new_element(m: int, g: Series, f: Sequence[Series], order: int | None = None) -> MRiordanElement:
     """Validate and build an element; raises on any profile violation."""
     if m < 1:
-        raise ValueError("m must be a positive integer")
+        raise InvalidArgument("m must be a positive integer")
     f = tuple(f)
     if len(f) != m:
-        raise ValueError(f"expected {m} f-series, got {len(f)}")
+        raise InvalidArgument(f"expected {m} f-series, got {len(f)}")
     if order is None:
         order = g.order
     if g.order != order or any(fi.order != order for fi in f):
@@ -132,12 +133,13 @@ def step_series(e: MRiordanElement) -> Series:
 def _compressed(e: MRiordanElement):
     """(ghat, [fhat_i], what): the element in the t = x^m domain.
 
-    ghat has order N//m, each fhat_i has order (N-1)//m, and what
-    (the compressed step series t*prod(fhat_i)) is exact through N//m.
+    ghat has order N//m, each fhat_i has order (N-1)//m, and what (the
+    compressed step series t*prod(fhat_i)) has order (N-1)//m + 1, every
+    coefficient exact; ``compose`` truncates it to what each caller needs.
     """
     ghat = compress(e.g, e.m, 0)
     fhats = [compress(fi, e.m, 1) for fi in e.f]
-    what = prod(fhats[1:], start=fhats[0]).shift_up(1).truncate(e.order // e.m)
+    what = prod(fhats[1:], start=fhats[0]).shift_up(1)
     return ghat, fhats, what
 
 
@@ -195,7 +197,7 @@ def to_matrix(e: MRiordanElement, rows: int) -> CoeffMatrix:
     """Expand the element to `rows` rows; column k is the k-th series of
     ``column_gfs``."""
     if rows < 1:
-        raise ValueError("rows must be >= 1")
+        raise InvalidArgument("rows must be >= 1")
     if rows > e.order + 1:
         raise OrderTooSmall(f"{rows} rows need order >= {rows - 1}, have {e.order}")
     cols = column_gfs(e.g, e.f, rows)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import OrderTooSmall
+from .errors import InvalidArgument, OrderTooSmall
 from .group import CoeffMatrix
 from .series import Series
 
@@ -29,13 +29,13 @@ class LatticeSpec:
 
     def __post_init__(self):
         if self.m < 1 or len(self.rules) != self.m:
-            raise ValueError("need exactly one rule list per residue class")
+            raise InvalidArgument("need exactly one rule list per residue class")
         for rule in self.rules:
             for dn, dk in rule:
                 if type(dn) is not int or type(dk) is not int:
                     raise TypeError("step offsets must be integers")
                 if dn < 1:
-                    raise ValueError("every step must advance n (dn >= 1)")
+                    raise InvalidArgument("every step must advance n (dn >= 1)")
 
     @classmethod
     def from_lists(cls, m: int, rules: Sequence[Sequence[Sequence[int]]]) -> "LatticeSpec":
@@ -45,7 +45,7 @@ class LatticeSpec:
 def count_table(spec: LatticeSpec, rows: int) -> CoeffMatrix:
     """Dynamic-programming fill of t_{n,k}, exact integers."""
     if rows < 1:
-        raise ValueError("rows must be >= 1")
+        raise InvalidArgument("rows must be >= 1")
     t = [[0] * rows for _ in range(rows)]
     t[0][0] = 1
     for n in range(1, rows):

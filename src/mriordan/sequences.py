@@ -6,7 +6,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import OrderTooSmall
+from .errors import InvalidArgument, OrderTooSmall
 from .group import MRiordanElement, column_gfs, step_series, to_matrix
 from .series import Coeff, Series, exact_coeff
 
@@ -88,5 +88,5 @@ def hankel_transform(seq: Sequence) -> list:
 def interleave_split(seq: Sequence, m: int) -> list:
     """Slot j holds the terms at indices congruent to j mod m."""
     if m < 1:
-        raise ValueError("m must be >= 1")
+        raise InvalidArgument("m must be >= 1")
     return [list(seq[j::m]) for j in range(m)]

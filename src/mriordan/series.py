@@ -21,6 +21,7 @@ from .errors import (
     BlockProfileViolation,
     CompositionRequiresValuation,
     DivisionByNonUnit,
+    InvalidArgument,
     NotRevertible,
     RootRequiresUnitConstant,
 )
@@ -49,7 +50,7 @@ class Series:
     def __init__(self, coeffs: Iterable[Coeff]):
         cs = tuple(map(exact_coeff, coeffs))
         if not cs:
-            raise ValueError("a series needs at least the constant coefficient")
+            raise InvalidArgument("a series needs at least the constant coefficient")
         object.__setattr__(self, "coeffs", cs)
 
     def __setattr__(self, name, value):
@@ -72,7 +73,7 @@ class Series:
     @classmethod
     def x(cls, order: int) -> "Series":
         if order < 1:
-            raise ValueError("x needs order >= 1")
+            raise InvalidArgument("x needs order >= 1")
         return cls([0, 1] + [0] * (order - 1))
 
     @classmethod
@@ -200,7 +201,7 @@ class Series:
         if any(self.coeffs[i] for i in range(min(k, self.order + 1))):
             raise DivisionByNonUnit(f"valuation < {k}, cannot divide by x^{k}")
         if self.order < k:
-            raise ValueError("order too small for shift_down")
+            raise InvalidArgument("order too small for shift_down")
         return Series(self.coeffs[k:])
 
 
@@ -249,7 +250,7 @@ def nth_root_unit(u: Series, m: int) -> Series:
     m*n*v_n = sum_{k=1..n} ((m+1)*k - m*n) * u_k * v_{n-k}.
     """
     if m < 1:
-        raise ValueError("root index must be positive")
+        raise InvalidArgument("root index must be positive")
     if u.coeffs[0] != 1:
         raise RootRequiresUnitConstant("m-th root requires constant term 1")
     uc = u.coeffs
@@ -275,12 +276,12 @@ def aerate(s: Series, m: int, shift: int = 0, order: int | None = None) -> Serie
     strictly between occupied slots, so their zeros are exact.
     """
     if m < 1 or shift < 0:
-        raise ValueError("aerate needs m >= 1 and shift >= 0")
+        raise InvalidArgument("aerate needs m >= 1 and shift >= 0")
     natural = m * s.order + shift
     if order is None:
         order = natural
     if order > m * (s.order + 1) + shift - 1:
-        raise ValueError("requested order exceeds what the source determines")
+        raise InvalidArgument("requested order exceeds what the source determines")
     out = [0] * (order + 1)
     for i, c in enumerate(s.coeffs):
         idx = m * i + shift

@@ -92,6 +92,8 @@ def test_parse_sequence_formats():
     assert parse_sequence("1\n-2\n3/2\n") == [1, -2, parse_sequence("3/2")[0]]
     with pytest.raises(DocumentError):
         parse_sequence("1, two")
+    with pytest.raises(DocumentError, match="1/0"):
+        parse_sequence("1, 1/0")
 
 
 def test_bad_lattice_doc():
@@ -171,6 +173,21 @@ def test_cli_hankel_stdin(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("1, 1, 2, 5, 14, 42, 132"))
     assert run(["hankel", "-", "--format", "csv"]) == 0
     assert capsys.readouterr().out == "1, 1, 1, 1\n"
+
+
+def test_cli_hankel_zero_denominator_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("1/0\n"))
+    assert run(["hankel", "-"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+
+
+def test_cli_invert_below_order_m(capsys):
+    argv = ["invert", "--m", "3", "--g", "1", "--f", "x", "--f", "x", "--f", "x"]
+    assert run([*argv, "--order", "2"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["order"], doc["g"], doc["f"]) == (2, "1", ["x", "x", "x"])
 
 
 def test_cli_interleave(capsys, monkeypatch):
@@ -315,6 +332,42 @@ def test_cli_verify_paper(capsys):
     out = capsys.readouterr().out
     assert "fixtures passed" in out
     assert "FAIL" not in out
+
+
+_USES_INVERSE = {
+    "example1/inverse-closed-form", "example1/inverse-matrix", "example1/inverse-round-trip",
+    "example1/inverse-row-sums", "example1/inverse-ftra", "example2/inverse-closed-form",
+    "example2/inverse-matrix", "example2/inverse-row-sums", "example2/hankel-transforms",
+    "example3/inverse-matrix", "example3/inverse-row-sums", "example3/lattice-recurrence-match",
+}
+
+
+def test_verify_paper_isolates_a_failing_inverse(capsys, monkeypatch):
+    def broken(e):
+        raise ZeroDivisionError("broken inverse")
+
+    monkeypatch.setattr("mriordan.group.inverse", broken)
+    assert run(["verify-paper"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "13/25 fixtures passed"
+    for line in lines[:-1]:
+        name = line.split()[1]
+        if name in _USES_INVERSE:
+            assert line == f"FAIL  {name}  (ZeroDivisionError: broken inverse)"
+        else:
+            assert line == f"pass  {name}"
+
+
+def test_verify_paper_computes_each_inverse_once(monkeypatch):
+    calls = []
+
+    def counting(e):
+        calls.append(e)
+        return inverse(e)
+
+    monkeypatch.setattr("mriordan.group.inverse", counting)
+    assert all(r.ok for r in golden.run_all())
+    assert len(calls) == 3
 
 
 def test_cli_output_is_deterministic(capsys):

@@ -95,6 +95,19 @@ def test_long_chains_evaluate():
     assert evaluate_text("*".join(["(1+x)"] * terms), 1) == Series([1, terms])
 
 
+@pytest.mark.parametrize("op", ["+", "*"])
+def test_long_chains_print(op):
+    text = op.join(["x"] * 3000)
+    printed = to_text(parse(text))
+    assert printed == text
+    assert to_text(parse(printed)) == printed
+
+
+def test_printer_parenthesises_what_the_grammar_needs():
+    for text in ["(a+b)*c*(d-e)/f-(-g*h)", "(x^2)^3", "(-x)^2", "a-(b-c)", "-x*y"]:
+        assert to_text(parse(text)) == text
+
+
 def test_unknown_identifier_at_evaluation():
     with pytest.raises(UnknownIdentifier):
         evaluate_text("y+1", 5)

@@ -7,19 +7,25 @@ from hypothesis import strategies as st
 
 from mriordan import (
     BlockProfileViolation,
+    InvalidArgument,
+    LatticeSpec,
+    MRiordanError,
     MixedModulus,
     MixedOrder,
     NonUnitLeadingCoefficient,
     OrderTooSmall,
     Series,
+    aerate,
     apply_ftra,
     bivariate_table,
     classify_subgroups,
+    count_table,
     decompose_semidirect,
     diagonal_sums,
     evaluate_text,
     hankel_transform,
     identity,
+    interleave_split,
     inverse,
     left_factors,
     new_element,
@@ -219,6 +225,18 @@ def test_group_laws_random():
             assert product(inv, a) == ident
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_inverse_at_every_small_order(m):
+    """Orders that m does not divide, and orders below m, included."""
+    rng = random.Random(m)
+    for order in range(1, 2 * m + 2):
+        ident = identity(m, order)
+        for e in (ident, random_proper_element(rng, m, order),
+                  random_rational_element(rng, m, order)):
+            inv = inverse(e)
+            assert product(e, inv) == ident == product(inv, e)
+
+
 def test_matrix_homomorphism_random():
     rng = random.Random(21)
     rows = 13
@@ -341,3 +359,28 @@ def test_outputs_keep_one_coefficient_representation(make, m, seed):
     coeffs += left_factors(lattice_from_doc(THREEFOLD_DOC), order + 1)
     coeffs += parse_sequence("1, 4/2, 3/4")
     assert all(_is_canonical(c) for c in coeffs)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: Series([]),
+    lambda: Series.x(0),
+    lambda: Series.zero(1).shift_down(3),
+    lambda: nth_root_unit(Series.one(3), 0),
+    lambda: aerate(Series.one(3), 0),
+    lambda: aerate(Series.one(3), 2, 0, order=100),
+    lambda: new_element(0, Series.one(3), [], 3),
+    lambda: new_element(2, Series.one(3), [Series.x(3)], 3),
+    lambda: to_matrix(identity(1, 3), 0),
+    lambda: LatticeSpec(2, (((1, 1),),)),
+    lambda: LatticeSpec.from_lists(1, [[[0, 1]]]),
+    lambda: count_table(LatticeSpec.from_lists(1, [[[1, 1]]]), 0),
+    lambda: interleave_split([1, 2], 0),
+], ids=[
+    "series-empty", "x-order-0", "shift-down-order", "root-index-0", "aerate-m-0",
+    "aerate-order", "element-m-0", "element-f-count", "matrix-rows-0",
+    "lattice-rule-count", "lattice-dn-0", "count-table-rows-0", "interleave-m-0",
+])
+def test_out_of_range_arguments_raise_invalid_argument(call):
+    with pytest.raises(InvalidArgument) as info:
+        call()
+    assert isinstance(info.value, MRiordanError) and isinstance(info.value, ValueError)
