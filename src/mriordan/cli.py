@@ -20,7 +20,7 @@ from .documents import (
     load_lattice,
     parse_sequence,
 )
-from .errors import MRiordanError
+from .errors import MRiordanError, OrderTooSmall
 from .expressions import evaluate_text
 from .group import CoeffMatrix
 from .lattice import count_table, left_factors
@@ -151,40 +151,56 @@ def run(argv=None) -> int:
         return 1
 
 
+def _print(fmt, *args) -> None:
+    """print(fmt(*args)) with CPython's int-string digit limit (where it has
+    one) lifted, so that every exact value prints in full.  Input is read
+    before, under the limit, so an over-long literal is still refused."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        print(fmt(*args))
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
 def _dispatch(args) -> int:
     verb = args.verb
     if verb == "matrix":
         e = _read_element(args)
-        print(format_matrix(group.to_matrix(e, args.rows)))
+        _print(format_matrix, group.to_matrix(e, args.rows))
     elif verb == "product":
         a = load_element(args.path_a, args.order)
         b = load_element(args.path_b, args.order)
-        print(element_to_json(group.product(a, b)))
+        _print(element_to_json, group.product(a, b))
     elif verb == "invert":
-        print(element_to_json(group.inverse(_read_element(args))))
+        _print(element_to_json, group.inverse(_read_element(args)))
     elif verb == "apply":
         e = _read_element(args)
+        if args.terms > e.order + 1:
+            raise OrderTooSmall(f"{args.terms} terms need order >= {args.terms - 1}")
         series = group.apply_ftra(e, evaluate_text(args.gf, e.order))
-        print(format_sequence(series.coeffs[: args.terms], args.format))
+        _print(format_sequence, series.coeffs[: args.terms], args.format)
     elif verb == "rowsums":
         e = _read_element(args)
-        print(format_sequence(sequences.row_sums(e, args.terms), args.format))
+        _print(format_sequence, sequences.row_sums(e, args.terms), args.format)
     elif verb == "diagsums":
         e = _read_element(args)
-        print(format_sequence(sequences.diagonal_sums(e, args.terms), args.format))
+        _print(format_sequence, sequences.diagonal_sums(e, args.terms), args.format)
     elif verb == "hankel":
         seq = parse_sequence(_read_text(args.path))
-        print(format_sequence(sequences.hankel_transform(seq), args.format))
+        _print(format_sequence, sequences.hankel_transform(seq), args.format)
     elif verb == "interleave":
         seq = parse_sequence(_read_text(args.path))
         for slot in sequences.interleave_split(seq, args.m):
-            print(format_sequence(slot, args.format))
+            _print(format_sequence, slot, args.format)
     elif verb == "lattice":
         spec = load_lattice(args.path)
         if args.left_factors is not None:
-            print(format_sequence(left_factors(spec, args.left_factors), "plain"))
+            _print(format_sequence, left_factors(spec, args.left_factors), "plain")
         else:
-            print(format_matrix(count_table(spec, args.rows)))
+            _print(format_matrix, count_table(spec, args.rows))
     elif verb == "verify-paper":
         results = golden.run_all()
         failures = 0

@@ -91,9 +91,9 @@ class _Tokenizer:
         if i >= len(t):
             return ("eof", "", i)
         ch = t[i]
-        if ch.isdigit():
+        if ch.isdecimal():  # the digits int() accepts; '²' is a digit but not decimal
             j = i
-            while j < len(t) and t[j].isdigit():
+            while j < len(t) and t[j].isdecimal():
                 j += 1
             return ("int", t[i:j], i)
         if ch.isalpha() or ch == "_":
@@ -176,13 +176,22 @@ def _parse_exponent(tok) -> int:
         kind, text, pos = tok.next()
     if kind != "int":
         raise ExprSyntaxError("exponent must be an integer", pos)
-    return sign * int(text)
+    return sign * _int_literal(text, pos)
+
+
+def _int_literal(text: str, pos: int) -> int:
+    """int(text) for a decimal token; a literal longer than CPython's
+    int-string conversion limit is a syntax error, not a ValueError."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ExprSyntaxError(f"integer literal of {len(text)} digits is too long", pos)
 
 
 def _parse_atom(tok) -> Node:
     kind, text, pos = tok.next()
     if kind == "int":
-        return Num(int(text), pos)
+        return Num(_int_literal(text, pos), pos)
     if kind == "(":
         node = _parse_expr(tok)
         kind, _, p2 = tok.next()

@@ -12,7 +12,8 @@ integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from math import prod
 from typing import Sequence
 
@@ -24,25 +25,43 @@ from .errors import (
     NonUnitLeadingCoefficient,
     OrderTooSmall,
 )
-from .series import Series, aerate, check_block_profile, compose, compress
+from .series import Series, aerate, compose, compress
 from .series import exact_coeff, revert
 
 
 @dataclass(frozen=True)
 class MRiordanElement:
-    """A validated tuple (g, f_1, ..., f_m) at a common truncation order."""
+    """A validated tuple (g, f_1, ..., f_m) at a common truncation order N,
+    stored in the t = x^m domain as g(x) = ghat(x^m), f_i(x) = x*fhat_i(x^m),
+    with ghat of order N//m and each fhat_i of order (N-1)//m.  Build one
+    with ``new_element``; the x-domain series are views."""
 
     m: int
-    g: Series
-    f: tuple
+    ghat: Series
+    fhats: tuple
     order: int
+
+    @cached_property
+    def g(self) -> Series:
+        return aerate(self.ghat, self.m, 0, order=self.order)
+
+    @cached_property
+    def f(self) -> tuple:
+        return tuple(aerate(fh, self.m, 1, order=self.order) for fh in self.fhats)
+
+    @cached_property
+    def what(self) -> Series:
+        """The compressed step series t*prod(fhat_i), of order (N-1)//m + 1,
+        every coefficient exact; ``compose`` truncates it to what each caller
+        needs."""
+        return prod(self.fhats[1:], start=self.fhats[0]).shift_up(1)
 
     @property
     def is_proper(self) -> bool:
-        return self.g[0] == 1 and all(fi[1] == 1 for fi in self.f)
+        return self.ghat[0] == 1 and all(fh[0] == 1 for fh in self.fhats)
 
     def is_integral(self) -> bool:
-        return self.g.is_integral() and all(fi.is_integral() for fi in self.f)
+        return self.ghat.is_integral() and all(fh.is_integral() for fh in self.fhats)
 
     def eq_through(self, other: "MRiordanElement", order: int) -> bool:
         return (
@@ -90,7 +109,8 @@ class CoeffMatrix:
 
 
 def new_element(m: int, g: Series, f: Sequence[Series], order: int | None = None) -> MRiordanElement:
-    """Validate and build an element; raises on any profile violation."""
+    """Validate x-domain components and build an element; raises on any
+    profile violation."""
     if m < 1:
         raise InvalidArgument("m must be a positive integer")
     f = tuple(f)
@@ -100,23 +120,26 @@ def new_element(m: int, g: Series, f: Sequence[Series], order: int | None = None
         order = g.order
     if g.order != order or any(fi.order != order for fi in f):
         raise MixedOrder("all components must share the element's truncation order")
-    try:
-        check_block_profile(g, m, 0)
-    except BlockProfileViolation as exc:
-        raise BlockProfileViolation(f"g: {exc}", index=exc.index, component="g")
-    for i, fi in enumerate(f, start=1):
-        try:
-            check_block_profile(fi, m, 1)
-        except BlockProfileViolation as exc:
-            raise BlockProfileViolation(
-                f"f_{i}: {exc}", index=exc.index, component=f"f_{i}"
-            )
-    if not g[0]:
+    ghat = _compress(g, m, 0, "g")
+    # at order 0 an f_i stops short of x^1: pad it with the zero that the
+    # leading-coefficient check below then reports
+    fhats = tuple(
+        _compress(fi if order else Series.from_poly(fi.coeffs, 1), m, 1, f"f_{i}")
+        for i, fi in enumerate(f, start=1)
+    )
+    if not ghat[0]:
         raise NonUnitLeadingCoefficient("g has zero constant term")
-    for i, fi in enumerate(f, start=1):
-        if order < 1 or not fi[1]:
+    for i, fh in enumerate(fhats, start=1):
+        if not fh[0]:
             raise NonUnitLeadingCoefficient(f"f_{i} has zero coefficient at x^1")
-    return MRiordanElement(m=m, g=g, f=f, order=order)
+    return MRiordanElement(m, ghat, fhats, order)
+
+
+def _compress(s: Series, m: int, residue: int, component: str) -> Series:
+    try:
+        return compress(s, m, residue)
+    except BlockProfileViolation as exc:
+        raise BlockProfileViolation(f"{component}: {exc}", index=exc.index, component=component)
 
 
 def identity(m: int, order: int) -> MRiordanElement:
@@ -127,26 +150,7 @@ def identity(m: int, order: int) -> MRiordanElement:
 def step_series(e: MRiordanElement) -> Series:
     """w = f_1 * ... * f_m = h^m; valuation m, block residue 0.  It is the
     compressed step series of the element, aerated back to the x-domain."""
-    return aerate(_compressed(e)[2], e.m, 0, order=e.order)
-
-
-def _compressed(e: MRiordanElement):
-    """(ghat, [fhat_i], what): the element in the t = x^m domain.
-
-    ghat has order N//m, each fhat_i has order (N-1)//m, and what (the
-    compressed step series t*prod(fhat_i)) has order (N-1)//m + 1, every
-    coefficient exact; ``compose`` truncates it to what each caller needs.
-    """
-    ghat = compress(e.g, e.m, 0)
-    fhats = [compress(fi, e.m, 1) for fi in e.f]
-    what = prod(fhats[1:], start=fhats[0]).shift_up(1)
-    return ghat, fhats, what
-
-
-def _rebuild(m: int, ghat: Series, fhats: Sequence[Series], order: int) -> MRiordanElement:
-    g = aerate(ghat, m, 0, order=order)
-    f = [aerate(fh, m, 1, order=order) for fh in fhats]
-    return new_element(m, g, f, order)
+    return aerate(e.what, e.m, 0, order=e.order)
 
 
 def _check_compatible(a: MRiordanElement, b: MRiordanElement) -> None:
@@ -163,11 +167,9 @@ def product(a: MRiordanElement, b: MRiordanElement) -> MRiordanElement:
     (f_i/h)*F_i(h) becomes f_i * (Fhat_i o w_a).
     """
     _check_compatible(a, b)
-    ghat_a, fhats_a, what = _compressed(a)
-    ghat_b, fhats_b, _ = _compressed(b)
-    ghat = ghat_a * compose(ghat_b, what)
-    fhats = [fa * compose(fb, what) for fa, fb in zip(fhats_a, fhats_b)]
-    return _rebuild(a.m, ghat, fhats, a.order)
+    ghat = a.ghat * compose(b.ghat, a.what)
+    fhats = tuple(fa * compose(fb, a.what) for fa, fb in zip(a.fhats, b.fhats))
+    return MRiordanElement(a.m, ghat, fhats, a.order)
 
 
 def inverse(e: MRiordanElement) -> MRiordanElement:
@@ -176,11 +178,10 @@ def inverse(e: MRiordanElement) -> MRiordanElement:
     hbar^m as a function of x is wbar(x^m) with wbar = revert(what), so
     1/g(hbar) = 1/(ghat o wbar) and x*hbar/f_i(hbar) = x/(fhat_i o wbar).
     """
-    ghat, fhats, what = _compressed(e)
-    wbar = revert(what)
-    inv_ghat = compose(ghat, wbar).recip()
-    inv_fhats = [compose(fh, wbar).recip() for fh in fhats]
-    return _rebuild(e.m, inv_ghat, inv_fhats, e.order)
+    wbar = revert(e.what)
+    inv_ghat = compose(e.ghat, wbar).recip()
+    inv_fhats = tuple(compose(fh, wbar).recip() for fh in e.fhats)
+    return MRiordanElement(e.m, inv_ghat, inv_fhats, e.order)
 
 
 def column_gfs(g: Series, f: Sequence[Series], ncols: int) -> list:
@@ -209,10 +210,8 @@ def to_matrix(e: MRiordanElement, rows: int) -> CoeffMatrix:
 
 def apply_ftra(e: MRiordanElement, G: Series) -> Series:
     """The fundamental-theorem action: (g, f_1..f_m) . G = g * G(h)."""
-    check_block_profile(G, e.m, 0)
-    ghat, _, what = _compressed(e)
-    Ghat = compress(G.truncate(e.order), e.m, 0)
-    result_hat = ghat * compose(Ghat, what)
+    Ghat = compress(G, e.m, 0).truncate(e.order // e.m)
+    result_hat = e.ghat * compose(Ghat, e.what)
     return aerate(result_hat, e.m, 0, order=min(e.order, G.order))
 
 
@@ -223,14 +222,12 @@ def classify_subgroups(e: MRiordanElement) -> set:
     """Labels: A (g = 1), B_i (f_i = x*g), Classical (all f_i equal),
     Proper (unit leading coefficients)."""
     labels = set()
-    n = e.order
-    if e.g.eq_through(Series.one(n), n):
+    if e.ghat == Series.one(e.ghat.order):
         labels.add("A")
-    xg = e.g.shift_up(1).truncate(n)
-    for i, fi in enumerate(e.f, start=1):
-        if fi.eq_through(xg, n):
+    for i, fh in enumerate(e.fhats, start=1):
+        if fh == e.ghat.truncate(fh.order):
             labels.add(f"B_{i}")
-    if all(fi.eq_through(e.f[0], n) for fi in e.f[1:]):
+    if all(fh == e.fhats[0] for fh in e.fhats[1:]):
         labels.add("Classical")
     if e.is_proper:
         labels.add("Proper")
@@ -239,7 +236,5 @@ def classify_subgroups(e: MRiordanElement) -> set:
 
 def decompose_semidirect(e: MRiordanElement):
     """Split e = (g, x, ..., x) * (1, f_1, ..., f_m)."""
-    x = Series.x(e.order)
-    left = new_element(e.m, e.g, [x] * e.m, e.order)
-    right = new_element(e.m, Series.one(e.order), list(e.f), e.order)
-    return left, right
+    one = identity(e.m, e.order)
+    return replace(one, ghat=e.ghat), replace(one, fhats=e.fhats)

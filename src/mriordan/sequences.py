@@ -12,26 +12,27 @@ from .series import Coeff, Series, exact_coeff
 
 
 def row_sums(e: MRiordanElement, terms: int) -> list:
-    """Row sums via the closed generating function
-    (g + g f_1 + ... + g f_1...f_{m-1}) / (1 - f_1...f_m): every later
-    column repeats one of the first m times a power of the step series."""
-    if terms > e.order + 1:
-        raise OrderTooSmall(f"{terms} terms need order >= {terms - 1}")
-    num = sum(column_gfs(e.g, e.f, e.m), Series.zero(e.order))
-    den = 1 - step_series(e)
-    return list((num / den).coeffs[:terms])
+    """Row sums: the bivariate generating function at y = 1."""
+    return _sums_along(e, terms, 0)
 
 
 def diagonal_sums(e: MRiordanElement, terms: int) -> list:
-    """Diagonal sums sum_k a_{n-k,k} via the y -> x substitution in the
-    bivariate generating function."""
+    """Diagonal sums sum_k a_{n-k,k}: the bivariate generating function at
+    y = x."""
+    return _sums_along(e, terms, 1)
+
+
+def _sums_along(e: MRiordanElement, terms: int, s: int) -> list:
+    """The bivariate generating function sum_k y^k col_k at y = x^s.  Every
+    column from the m-th on repeats one of the first m times a power of the
+    step series w, so it is (sum_{j<m} y^j col_j) / (1 - y^m w)."""
     if terms > e.order + 1:
         raise OrderTooSmall(f"{terms} terms need order >= {terms - 1}")
     n = e.order
     num = Series.zero(n)
     for j, col in enumerate(column_gfs(e.g, e.f, e.m)):
-        num = num + col.shift_up(j).truncate(n)
-    den = 1 - step_series(e).shift_up(e.m).truncate(n)
+        num = num + col.shift_up(s * j).truncate(n)
+    den = 1 - step_series(e).shift_up(s * e.m).truncate(n)
     return list((num / den).coeffs[:terms])
 
 

@@ -1,6 +1,7 @@
 import io
 import json
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -167,6 +168,40 @@ def test_cli_apply(capsys):
         "--gf", "(1-x^3)/(1+x^3)", "--terms", "7", "--format", "csv",
     ]) == 0
     assert capsys.readouterr().out == "1, 0, 0, -1, 0, 0, -1\n"
+
+
+def test_cli_apply_needs_the_order_for_its_terms(capsys):
+    argv = ["apply", "--g", "1", "--f", "x", "--gf", "1+x", "--order", "5", "--format", "csv"]
+    assert run([*argv, "--terms", "100"]) == 1
+    assert capsys.readouterr() == ("", "error: 100 terms need order >= 99\n")
+    assert run([*argv, "--terms", "6"]) == 0
+    assert capsys.readouterr() == ("1, 1, 0, 0, 0, 0\n", "")
+
+
+@pytest.mark.parametrize("g, offset", [("1" * 5000, 0), ("x^" + "9" * 5000, 2)],
+                         ids=["literal", "exponent"])
+def test_cli_over_long_literal_exits_1(g, offset, capsys):
+    """Reading keeps CPython's int-string conversion limit."""
+    assert run(["matrix", "--g", g, "--f", "x"]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: integer literal of 5000 digits is too long (at offset {offset})\n"
+    )
+
+
+@pytest.mark.parametrize("argv, last", [
+    (["matrix", "--rows", "50"], "1" + "0" * 4900),
+    (["rowsums", "--terms", "50"], "1" + ("0" * 99 + "1") * 49),
+], ids=["matrix", "rowsums"])
+def test_cli_prints_values_beyond_the_int_str_limit(argv, last, capsys):
+    """10^4900 and sum_{j<50} 10^(100*j) have more digits than CPython
+    converts by default; the CLI prints them in full and leaves the limit as
+    it found it."""
+    limit = sys.get_int_max_str_digits()
+    verb, *flags = argv
+    assert run([verb, "--g", "1/(1-10^100*x)", "--f", "x", "--order", "50", *flags]) == 0
+    assert sys.get_int_max_str_digits() == limit
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 50 and out[-1].split()[0] == last
 
 
 def test_cli_hankel_stdin(capsys, monkeypatch):

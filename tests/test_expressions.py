@@ -70,6 +70,9 @@ def test_syntax_errors_carry_offsets():
         parse("x^y")
     with pytest.raises(UnknownIdentifier):
         parse("foo(x)")  # only sqrt/catalan may be called
+    with pytest.raises(ExprSyntaxError, match="unexpected character") as info:
+        parse("x^\u00b2")  # a digit, but not a decimal one that int() reads
+    assert info.value.offset == 2
 
 
 @pytest.mark.parametrize("text", [

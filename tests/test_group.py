@@ -100,6 +100,40 @@ def test_step_series_is_the_product_of_the_f(make):
             assert step_series(e) == step_product(e)
 
 
+@pytest.mark.parametrize("make", [random_proper_element, random_rational_element])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_results_rebuild_to_themselves(make, m):
+    """Elements are stored compressed, and product and inverse build their
+    results without validating them: rebuilding an element or a result from
+    its x-domain views gives it back, at every order 1..2m+1 and at 24."""
+    rng = random.Random(100 + m)
+    for order in [*range(1, 2 * m + 2), 24]:
+        a, b = make(rng, m, order), make(rng, m, order)
+        for e in (a, product(a, b), inverse(a)):
+            assert new_element(e.m, e.g, e.f, e.order) == e
+            assert step_series(e) == step_product(e)
+
+
+@pytest.mark.parametrize("m, order, g, f, error, message", [
+    (1, 0, [1], [[0]], NonUnitLeadingCoefficient, "f_1 has zero coefficient at x^1"),
+    (1, 0, [0], [[0]], NonUnitLeadingCoefficient, "g has zero constant term"),
+    (2, 0, [0], [[0], [5]], BlockProfileViolation,
+     "f_2: coefficient at index 0 violates residue 1 (mod 2)"),
+    (3, 2, [1, 0, 1], [[0, 1, 0]] * 3, BlockProfileViolation,
+     "g: coefficient at index 2 violates residue 0 (mod 3)"),
+    (3, 2, [0, 0, 0], [[0, 1, 0], [0, 0, 1], [0, 1, 0]], BlockProfileViolation,
+     "f_2: coefficient at index 2 violates residue 1 (mod 3)"),
+    (3, 2, [1, 0, 0], [[0, 1, 0], [0, 1, 0], [0, 0, 0]], NonUnitLeadingCoefficient,
+     "f_3 has zero coefficient at x^1"),
+])
+def test_new_element_errors_at_order_0_and_below_m(m, order, g, f, error, message):
+    with pytest.raises(error) as info:
+        new_element(m, Series(g), [Series(fi) for fi in f], order)
+    assert str(info.value) == message
+    if error is BlockProfileViolation:
+        assert info.value.component == message.split(":")[0]
+
+
 def test_step_series_root(example1):
     h = step_series_root(example1)
     w = step_series(example1)
