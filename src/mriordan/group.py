@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 from math import prod
+from operator import mul
 from typing import Sequence
 
 from .errors import (
@@ -26,7 +27,7 @@ from .errors import (
     OrderTooSmall,
 )
 from .series import Series, aerate, compose, compress
-from .series import exact_coeff, revert
+from .series import exact_coeff, exact_ratio, revert, scale
 
 
 @dataclass(frozen=True)
@@ -90,21 +91,19 @@ class CoeffMatrix:
         return all(v.denominator == 1 for row in self.entries for v in row)
 
     def __matmul__(self, other: "CoeffMatrix") -> "CoeffMatrix":
-        # both operands are lower-triangular, so entry (n, k) only sums
-        # over i in k..n
+        # integer numerators of each left row and each right column, one
+        # division per entry; both operands are lower-triangular, so entry
+        # (n, k) only sums over i in k..n
         size = self.rows
-        rhs = other.entries
+        cols = [scale(col) for col in zip(*other.entries)]
         out = []
-        for n in range(size):
-            row = self.entries[n]
-            out.append(
-                tuple(
-                    exact_coeff(sum(row[i] * rhs[i][k] for i in range(k, n + 1)))
-                    if k <= n
-                    else 0
-                    for k in range(size)
-                )
-            )
+        for n, (row, dr) in enumerate(map(scale, self.entries)):
+            cells = []
+            for k in range(n + 1):
+                col, dc = cols[k]
+                dot = sum(map(mul, row[k : n + 1], col[k : n + 1]))
+                cells.append(dot if dr == dc == 1 else exact_ratio(dot, dr * dc))
+            out.append(tuple(cells) + (0,) * (size - n - 1))
         return CoeffMatrix(size, tuple(out))
 
 

@@ -3,12 +3,12 @@ bivariate table, Hankel transforms, interleavings."""
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .errors import InvalidArgument, OrderTooSmall
 from .group import MRiordanElement, column_gfs, step_series, to_matrix
-from .series import Coeff, Series, exact_coeff
+from .series import Coeff, Series, exact_coeff, exact_ratio
 
 
 def row_sums(e: MRiordanElement, terms: int) -> list:
@@ -50,13 +50,15 @@ def bivariate_table(e: MRiordanElement, rows: int) -> list:
 def bareiss_determinant(rows: Sequence[Sequence]) -> Coeff:
     """Exact determinant by fraction-free (Bareiss) elimination.
 
-    Every division is exact, so integer input stays in ints throughout;
-    rational input runs the same steps on ``Fraction`` entries.
+    The matrix is scaled once by the least common denominator D of its
+    entries, so every step runs on ints and every division is an exact
+    ``//``; the determinant is det(D*A) / D^n.
     """
     n = len(rows)
     if n == 0:
         return 1
-    a = [list(row) for row in rows]
+    den = lcm(*(exact_coeff(v).denominator for row in rows for v in row))
+    a = [[v.numerator * (den // v.denominator) for v in row] for row in rows]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -68,11 +70,14 @@ def bareiss_determinant(rows: Sequence[Sequence]) -> Coeff:
                     break
             else:
                 return 0
+        pivot, top = a[k][k], a[k]
         for i in range(k + 1, n):
+            ai = a[i]
+            aik = ai[k]
             for j in range(k + 1, n):
-                a[i][j] = exact_coeff(Fraction(a[i][j] * a[k][k] - a[i][k] * a[k][j], prev))
-        prev = a[k][k]
-    return exact_coeff(sign * a[n - 1][n - 1])
+                ai[j] = (ai[j] * pivot - aik * top[j]) // prev
+        prev = pivot
+    return exact_ratio(sign * a[n - 1][n - 1], den**n)
 
 
 def hankel_transform(seq: Sequence) -> list:

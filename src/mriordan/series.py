@@ -6,15 +6,19 @@ nothing is ever zero-extended implicitly, because an extended coefficient
 would be a fabricated one.
 
 Every coefficient is an ``int`` or a ``Fraction`` whose denominator is not
-1 (see :func:`exact_coeff`), so integral data runs on plain int arithmetic
-and rational data falls back to ``Fraction`` without any conversion step.
-Coefficient division is always spelled ``Fraction(a, b)``: ``a / b`` on two
-ints would yield a float.
+1 (see :func:`exact_coeff`).  The kernels (``*``, ``recip``, ``compose``,
+``revert``, ``nth_root_unit`` and ``^``) run on integers only: a series is
+also its integer numerators over one common denominator (see
+:meth:`Series.scaled`), so a rational product is one int convolution and
+one division per output coefficient, not a gcd per term.  Coefficient
+division is always spelled ``exact_ratio(a, b)`` or ``Fraction(a, b)``:
+``a / b`` on two ints would yield a float.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 from .errors import (
@@ -40,18 +44,51 @@ def exact_coeff(v) -> Coeff:
     raise TypeError(f"series coefficients must be int or Fraction, got {type(v).__name__}")
 
 
+def exact_ratio(num: int, den: int) -> Coeff:
+    """The exact coefficient num/den of two ints (den != 0)."""
+    q, r = divmod(num, den)
+    return Fraction(num, den) if r else q
+
+
+def scale(values: Sequence[Coeff]) -> tuple:
+    """``(nums, den)``: integer numerators over the least common denominator
+    of exact coefficients, so that ``values[i] == nums[i] / den``.  All-int
+    input comes back as it is, with ``den == 1``."""
+    if set(map(type, values)) <= {int}:
+        return tuple(values), 1
+    den = lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (den // v.denominator) for v in values), den
+
+
 class Series:
     """Immutable truncated power series over the rationals."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_scaled")
 
     coeffs: tuple
 
     def __init__(self, coeffs: Iterable[Coeff]):
-        cs = tuple(map(exact_coeff, coeffs))
+        cs = tuple(coeffs)
         if not cs:
             raise InvalidArgument("a series needs at least the constant coefficient")
+        if set(map(type, cs)) == {int}:
+            scaled = (cs, 1)
+        else:
+            cs = tuple(map(exact_coeff, cs))
+            scaled = None  # worked out by the first kernel that needs it
         object.__setattr__(self, "coeffs", cs)
+        object.__setattr__(self, "_scaled", scaled)
+
+    @classmethod
+    def _over(cls, nums: list, den: int) -> "Series":
+        """The series nums/den, reduced to its least common denominator: the
+        one division of a kernel's integer result."""
+        nums, den = _reduced(nums, den)
+        nums = tuple(nums)
+        s = object.__new__(cls)
+        object.__setattr__(s, "coeffs", nums if den == 1 else tuple(exact_ratio(v, den) for v in nums))
+        object.__setattr__(s, "_scaled", (nums, den))
+        return s
 
     def __setattr__(self, name, value):
         raise AttributeError("Series is immutable")
@@ -94,6 +131,13 @@ class Series:
 
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.coeffs)
+
+    def scaled(self) -> tuple:
+        """``(nums, den)`` with ``coeffs[i] == nums[i] / den``, ``den`` the
+        least common denominator; computed once per series."""
+        if self._scaled is None:
+            object.__setattr__(self, "_scaled", scale(self.coeffs))
+        return self._scaled
 
     def truncate(self, order: int) -> "Series":
         if order >= self.order:
@@ -138,33 +182,30 @@ class Series:
         if isinstance(other, (int, Fraction)):
             return Series([c * other for c in self.coeffs])
         n = min(self.order, other.order)
-        a, b = self.coeffs, other.coeffs
-        out = [0] * (n + 1)
-        for i in range(n + 1):
-            ai = a[i]
-            if not ai:
-                continue
-            for j in range(n - i + 1):
-                if b[j]:
-                    out[i + j] += ai * b[j]
-        return Series(out)
+        a, da = self.scaled()
+        b, db = other.scaled()
+        return Series._over(_convolve(a, b, n), da * db)
 
     __rmul__ = __mul__
 
     def recip(self) -> "Series":
-        """Multiplicative inverse via the standard recurrence."""
-        b0 = self.coeffs[0]
-        if not b0:
+        """Multiplicative inverse by the standard recurrence
+        [x^n](1/s) = -(1/s_0) sum_{k=1..n} s_k [x^(n-k)](1/s), run on the
+        integer numerators u of s = u/d: the coefficients found so far are
+        o/den over their least common denominator, and each next one is one
+        integer dot product t, as -t/(u_0 den)."""
+        u, d = self.scaled()
+        c = u[0]
+        if not c:
             raise DivisionByNonUnit("reciprocal of a series with zero constant term")
-        inv0 = exact_coeff(Fraction(1, b0))
-        out = [inv0]
-        for n in range(1, self.order + 1):
-            acc = 0
+        o, den = _extend([], 1, d, c)  # [x^0](1/s) = d/c
+        for n in range(1, len(u)):
+            t = 0
             for k in range(1, n + 1):
-                if self.coeffs[k]:
-                    acc += self.coeffs[k] * out[n - k]
-            out.append(-inv0 * acc)
-        return Series(out)
+                if u[k]:
+                    t += u[k] * o[n - k]
+            o, den = _extend(o, den, -t, c)
+        return Series._over(o, den)
 
     def __truediv__(self, other) -> "Series":
         if isinstance(other, (int, Fraction)):
@@ -181,6 +222,13 @@ class Series:
             raise TypeError("series exponents must be integers")
         if n < 0:
             return self.recip() ** (-n)
+        if n > self.order:
+            # past the order the cost of binary powering grows with the
+            # exponent's length; these cases have one pass that does not
+            if not self.coeffs[0]:
+                return Series.zero(self.order)
+            if self.coeffs[0] in (1, -1):
+                return _power(self, n, 1)
         result = Series.one(self.order)
         base = self
         while n:
@@ -211,57 +259,106 @@ def _coerce(v, order: int) -> Series:
     return Series.constant(v, order)
 
 
+def _reduced(nums: list, den: int) -> tuple:
+    """nums/den with the common factor of den and all of nums divided out,
+    so that den is the least common denominator of the values."""
+    g = gcd(den, *nums)
+    if g == 1:
+        return nums, den
+    return [v // g for v in nums], den // g
+
+
+def _extend(o: list, den: int, num: int, div: int) -> tuple:
+    """Append num/(div*den) to the values o/den, keeping den their least
+    common denominator: the one division of a recurrence step."""
+    whole = div * den
+    grown = lcm(den, whole // gcd(num, whole))
+    if grown != den:
+        o = [v * (grown // den) for v in o]
+    o.append(num * grown // whole)
+    return o, grown
+
+
+def _convolve(a: Sequence[int], b: Sequence[int], n: int) -> list:
+    """Coefficients 0..n of the product of two integer coefficient
+    sequences; zero terms are skipped, so sparse operands stay cheap."""
+    out = [0] * (n + 1)
+    for i in range(n + 1):
+        ai = a[i]
+        if not ai:
+            continue
+        for j in range(n - i + 1):
+            if b[j]:
+                out[i + j] += ai * b[j]
+    return out
+
+
 def compose(outer: Series, inner: Series) -> Series:
     """outer(inner(x)), exact through min(orders).
 
-    Horner evaluation: since inner has valuation >= 1, coefficient n of the
-    result only sees the first n+1 coefficients of either operand.
+    Horner evaluation on integer numerators, with outer = C/dc and
+    inner = B/db: each step multiplies the partial sum by B and adds the next
+    C_i, over one denominator that stays the least.  Since inner has
+    valuation >= 1, coefficient n of the result only sees the first n+1
+    coefficients of either operand.
     """
     if inner.coeffs[0]:
         raise CompositionRequiresValuation(
             "composition requires the inner series to have zero constant term"
         )
     n = min(outer.order, inner.order)
-    inner = inner.truncate(n)
-    acc = Series.zero(n)
-    for c in reversed(outer.coeffs[: n + 1]):
-        acc = acc * inner + c
-    return acc
+    c, dc = outer.scaled()
+    b, db = inner.scaled()
+    acc, da = [0] * (n + 1), 1  # dc * outer(inner) so far is acc/da
+    for ci in reversed(c[: n + 1]):
+        acc = _convolve(acc, b, n)
+        da *= db
+        acc[0] += ci * da
+        acc, da = _reduced(acc, da)
+    return Series._over(acc, dc * da)
 
 
 def revert(f: Series) -> Series:
     """Compositional inverse by Lagrange inversion, O(N^3):
-    [x^k] fbar = (1/k) [x^{k-1}] (x/f)^k.
+    [x^k] fbar = (1/k) [x^{k-1}] (x/f)^k, with the powers of x/f = Q/d
+    taken on the integer numerators Q^k.
     """
     if f.coeffs[0] or f.order < 1 or not f.coeffs[1]:
         raise NotRevertible("reversion requires valuation exactly 1")
-    q = Series(f.coeffs[1:]).recip()  # x/f, exact through order N-1
-    out = [0, q[0]]
-    p = q
+    q, d = Series(f.coeffs[1:]).recip().scaled()  # x/f, exact through order N-1
+    out = [0, exact_ratio(q[0], d)]
+    p, dk = q, d  # (x/f)^k is p/dk
     for k in range(2, f.order + 1):
-        p = p * q
-        out.append(Fraction(p[k - 1], k))
+        p, dk = _reduced(_convolve(p, q, f.order - 1), dk * d)
+        out.append(exact_ratio(p[k - 1], k * dk))
     return Series(out)
 
 
 def nth_root_unit(u: Series, m: int) -> Series:
-    """The unique v with v^m = u and v(0) = 1, by J. C. P. Miller's power
-    recurrence (Knuth, TAOCP vol. 2, 4.7), O(N^2):
-    m*n*v_n = sum_{k=1..n} ((m+1)*k - m*n) * u_k * v_{n-k}.
-    """
+    """The unique v with v^m = u and v(0) = 1."""
     if m < 1:
         raise InvalidArgument("root index must be positive")
     if u.coeffs[0] != 1:
         raise RootRequiresUnitConstant("m-th root requires constant term 1")
-    uc = u.coeffs
-    v = [1]
-    for n in range(1, len(uc)):
-        acc = 0
+    return _power(u, 1, m)
+
+
+def _power(u: Series, p: int, q: int) -> Series:
+    """v = u^(p/q) for u_0 = +-1 (u_0 = 1 when q > 1), by J. C. P. Miller's
+    power recurrence (Knuth, TAOCP vol. 2, 4.7), O(N^2) whatever the size
+    of p: q*n*u_0*v_n = sum_{k=1..n} ((p+q)*k - q*n) * u_k * v_{n-k}, run
+    like ``recip`` on the integer numerators a of u = a/d.
+    """
+    a, d = u.scaled()
+    c = a[0]
+    o, den = [(c // d) ** (p % 2)], 1  # u_0^p, as u_0 is +-1
+    for n in range(1, len(a)):
+        t = 0
         for k in range(1, n + 1):
-            if uc[k]:
-                acc += ((m + 1) * k - m * n) * uc[k] * v[n - k]
-        v.append(exact_coeff(Fraction(acc, m * n)))
-    return Series(v)
+            if a[k]:
+                t += ((p + q) * k - q * n) * a[k] * o[n - k]
+        o, den = _extend(o, den, t, q * n * c)
+    return Series._over(o, den)
 
 
 def sqrt_unit(u: Series) -> Series:

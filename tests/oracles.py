@@ -1,16 +1,73 @@
 """Independent reference implementations the tests cross-check against.
 
 None of these is used by the package itself: each recomputes a result of
-the shipped engine by a different route (the aerated x-domain engine, an
-explicit m-th root, the bivariate expansion, cofactor expansion, literal
-matrix sums).
+the shipped engine by a different route (term-by-term ``Fraction``
+kernels, the aerated x-domain engine, an explicit m-th root, the bivariate
+expansion, cofactor expansion, literal matrix sums).
 """
 
 from fractions import Fraction
 from typing import Sequence
 
-from mriordan.group import MRiordanElement, _check_compatible, new_element, to_matrix
-from mriordan.series import Series, aerate, compose, compress, nth_root_unit, revert
+from mriordan.group import CoeffMatrix, MRiordanElement, _check_compatible, new_element, to_matrix
+from mriordan.series import Series, aerate, compose, compress, exact_coeff, nth_root_unit, revert
+
+
+# -- Fraction-only kernels ---------------------------------------------------
+#
+# Every term is a Fraction operation, with no common denominator and no
+# integer fast path; results are normalised to the one coefficient
+# representation only at the end.
+
+
+def series_mul_direct(a: Series, b: Series) -> Series:
+    n = min(a.order, b.order)
+    return Series(
+        [sum((Fraction(a[i]) * b[k - i] for i in range(k + 1)), Fraction(0)) for k in range(n + 1)]
+    )
+
+
+def recip_direct(s: Series) -> Series:
+    """1/s by the recurrence on Fractions."""
+    inv0 = 1 / Fraction(s[0])
+    out = [inv0]
+    for n in range(1, s.order + 1):
+        out.append(-inv0 * sum((Fraction(s[k]) * out[n - k] for k in range(1, n + 1)), Fraction(0)))
+    return Series(out)
+
+
+def compose_direct(outer: Series, inner: Series) -> Series:
+    """Horner evaluation over series_mul_direct."""
+    n = min(outer.order, inner.order)
+    acc = Series.zero(n)
+    for c in reversed(outer.coeffs[: n + 1]):
+        acc = series_mul_direct(acc, inner) + c
+    return acc
+
+
+def revert_direct(f: Series) -> Series:
+    """Solve f(r) = x coefficient by coefficient, with compose_direct."""
+    order = f.order
+    r = Series.from_poly([0, 1 / Fraction(f[1])], order)
+    for n in range(2, order + 1):
+        err = compose_direct(f.truncate(n), r.truncate(n))[n]
+        coeffs = list(r.coeffs)
+        coeffs[n] = -err / Fraction(f[1])
+        r = Series(coeffs)
+    return r
+
+
+def matmul_direct(a: CoeffMatrix, b: CoeffMatrix) -> CoeffMatrix:
+    """The full matrix product, every term a Fraction product."""
+    size = a.rows
+    entries = tuple(
+        tuple(
+            exact_coeff(sum((Fraction(a[n, i]) * b[i, k] for i in range(size)), Fraction(0)))
+            for k in range(size)
+        )
+        for n in range(size)
+    )
+    return CoeffMatrix(size, entries)
 
 
 # -- direct (aerated, x-domain) engine ------------------------------------

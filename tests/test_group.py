@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from mriordan import (
     BlockProfileViolation,
+    CoeffMatrix,
     InvalidArgument,
     LatticeSpec,
     MRiordanError,
@@ -41,13 +42,14 @@ from mriordan.golden import THREEFOLD_DOC
 from mriordan.sequences import bareiss_determinant
 from oracles import (
     inverse_direct,
+    matmul_direct,
     product_direct,
     product_via_root,
     step_product,
     step_series_root,
 )
 
-from conftest import random_proper_element, random_rational_element
+from conftest import random_proper_element, random_rational_element, square_matrices, typed
 
 N = 30
 
@@ -281,6 +283,35 @@ def test_matrix_homomorphism_random():
             lhs = to_matrix(product(a, b), rows)
             rhs = to_matrix(a, rows) @ to_matrix(b, rows)
             assert lhs == rhs
+
+
+def _lower_triangular(rows):
+    return CoeffMatrix(
+        len(rows), tuple(tuple(v if k <= n else 0 for k, v in enumerate(row)) for n, row in enumerate(rows))
+    )
+
+
+lower_triangular_pairs = st.integers(min_value=1, max_value=6).flatmap(
+    lambda n: st.tuples(square_matrices(n, n), square_matrices(n, n))
+)
+
+
+@given(lower_triangular_pairs)
+@settings(max_examples=60, deadline=None)
+def test_matmul_matches_fraction_kernel(pair):
+    a, b = map(_lower_triangular, pair)
+    got, want = a @ b, matmul_direct(a, b)
+    assert [typed(row) for row in got.entries] == [typed(row) for row in want.entries]
+
+
+@pytest.mark.parametrize("make", [random_proper_element, random_rational_element])
+def test_matmul_of_element_matrices_matches_fraction_kernel(make):
+    rng = random.Random(8)
+    for m in (1, 2, 3, 4):
+        a, b = make(rng, m, 14), make(rng, m, 14)
+        mat_a, mat_b = to_matrix(a, 15), to_matrix(b, 15)
+        got, want = mat_a @ mat_b, matmul_direct(mat_a, mat_b)
+        assert [typed(row) for row in got.entries] == [typed(row) for row in want.entries]
 
 
 def test_nonproper_rational_elements_work():

@@ -17,8 +17,9 @@ from mriordan import (
     to_matrix,
 )
 from mriordan.sequences import bareiss_determinant
+from mriordan.series import exact_coeff
 
-from conftest import random_proper_element
+from conftest import random_proper_element, square_matrices, typed
 from oracles import (
     bivariate_expansion,
     interleave,
@@ -112,27 +113,25 @@ def test_hankel_example2_slots(example2):
     assert hankel_transform(slots[2])[:5] == [1, 1, 1, 1, 1]
 
 
-small_matrices = st.integers(min_value=1, max_value=5).flatmap(
-    lambda n: st.lists(
-        st.lists(st.integers(min_value=-6, max_value=6), min_size=n, max_size=n),
-        min_size=n,
-        max_size=n,
-    )
-)
-
-
-@given(small_matrices)
-@settings(max_examples=80, deadline=None)
+@given(square_matrices(0, 5))
+@settings(max_examples=150, deadline=None)
 def test_bareiss_matches_cofactor_expansion(rows):
-    assert bareiss_determinant(rows) == naive_determinant(rows)
+    assert typed([bareiss_determinant(rows)]) == typed([exact_coeff(naive_determinant(rows))])
 
 
 def test_bareiss_rational_entries():
-    rows = [
-        [Fraction(1, 2), Fraction(1, 3)],
-        [Fraction(1, 5), Fraction(2, 7)],
+    cases = [
+        [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), Fraction(2, 7)]],
+        # zero pivots: the first needs a row swap, the second a later one
+        [[0, Fraction(1, 2), 1], [Fraction(1, 3), 0, 2], [1, Fraction(7, 1009), 0]],
+        [[Fraction(1, 2), Fraction(1, 3), 1], [1, Fraction(2, 3), 5], [Fraction(3, 997), 1, 0]],
+        # singular: proportional rows, and a zero column below a zero pivot
+        [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]],
+        [[0, Fraction(1, 2), 1], [0, Fraction(2, 3), 5], [0, 1, Fraction(-5, 1013)]],
+        [[Fraction(7, 1009)]],
     ]
-    assert bareiss_determinant(rows) == naive_determinant(rows)
+    for rows in cases:
+        assert typed([bareiss_determinant(rows)]) == typed([exact_coeff(naive_determinant(rows))])
 
 
 def test_hankel_agrees_with_naive_small():

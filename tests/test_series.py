@@ -1,3 +1,5 @@
+import math
+import time
 from decimal import Decimal
 from fractions import Fraction
 
@@ -20,6 +22,9 @@ from mriordan import (
     revert,
     sqrt_unit,
 )
+
+from conftest import exact_lists, leading_coeffs, typed
+from oracles import compose_direct, recip_direct, revert_direct, series_mul_direct
 
 N = 12
 
@@ -84,17 +89,6 @@ def test_compose_requires_valuation():
         compose(Series.x(N), Series.one(N))
 
 
-def brute_force_revert(f, order):
-    """Solve f(r) = x coefficient by coefficient; independent oracle."""
-    r = Series.from_poly([0, Fraction(1, f[1])], order)
-    for n in range(2, order + 1):
-        err = compose(f.truncate(order), r)[n]
-        coeffs = list(r.coeffs)
-        coeffs[n] = Fraction(-err, f[1])
-        r = Series(coeffs)
-    return r
-
-
 def test_revert_identity():
     assert revert(Series.x(N)) == Series.x(N)
 
@@ -110,7 +104,7 @@ def test_revert_moebius():
 def test_revert_quartic_against_brute_force():
     f = Series.from_poly([0, 1, 0, 0, -1], 10)  # x(1 - x^3)
     fbar = revert(f)
-    assert fbar == brute_force_revert(f, 10)
+    assert fbar == revert_direct(f)
     assert list(fbar.coeffs[:8]) == [0, 1, 0, 0, 1, 0, 0, 4]
 
 
@@ -126,7 +120,7 @@ def test_revert_requires_valuation_one():
 def test_revert_matches_brute_force_and_round_trips(tail, lead):
     f = Series([0, lead] + tail)
     fbar = revert(f)
-    assert fbar == brute_force_revert(f, f.order)
+    assert fbar == revert_direct(f)
     n = f.order
     assert compose(f, fbar) == Series.x(n)
     assert compose(fbar, f) == Series.x(n)
@@ -252,3 +246,74 @@ def test_no_silent_extension():
     s = Series.from_poly([1, 2, 3], 2)
     assert len((s * s).coeffs) == 3
     assert len((s + s).coeffs) == 3
+
+
+# -- the integer kernels against term-by-term Fraction arithmetic ----------
+
+series_data = exact_lists(min_size=1)  # orders 0..11
+
+
+@given(series_data, series_data)
+@settings(max_examples=100, deadline=None)
+def test_mul_matches_fraction_kernel(a, b):
+    sa, sb = Series(a), Series(b)
+    assert typed((sa * sb).coeffs) == typed(series_mul_direct(sa, sb).coeffs)
+
+
+@given(leading_coeffs, exact_lists(max_size=11))
+@settings(max_examples=100, deadline=None)
+def test_recip_matches_fraction_kernel(c0, tail):
+    s = Series([c0] + tail)
+    assert typed(s.recip().coeffs) == typed(recip_direct(s).coeffs)
+
+
+@given(series_data, exact_lists(max_size=9))
+@settings(max_examples=100, deadline=None)
+def test_compose_matches_fraction_kernel(outer, tail):
+    so, si = Series(outer), Series([0] + tail)
+    assert typed(compose(so, si).coeffs) == typed(compose_direct(so, si).coeffs)
+
+
+@given(leading_coeffs, exact_lists(max_size=8))
+@settings(max_examples=100, deadline=None)
+def test_revert_matches_fraction_kernel(lead, tail):
+    f = Series([0, lead] + tail)  # orders 1..9
+    assert typed(revert(f).coeffs) == typed(revert_direct(f).coeffs)
+
+
+@given(series_data, series_data)
+@settings(max_examples=100, deadline=None)
+def test_numerators_over_the_least_common_denominator(a, b):
+    for s in (Series(a), Series(a) * Series(b)):
+        nums, den = s.scaled()
+        assert den == math.lcm(*(Fraction(c).denominator for c in s.coeffs))
+        assert all(type(v) is int for v in nums)
+        assert [Fraction(v, den) for v in nums] == list(s.coeffs)
+
+
+# -- powers ---------------------------------------------------------------
+
+
+def test_pow_exponent_beyond_the_order_costs_no_more():
+    k = 10**100
+    start = time.perf_counter()
+    got = Series.from_poly([1, 1], 60) ** k
+    elapsed = time.perf_counter() - start
+    assert list(got.coeffs) == [math.comb(k, n) for n in range(61)]
+    assert elapsed < 2
+    assert list((Series.from_poly([-1, 1], 60) ** k).coeffs) == [
+        (-1) ** n * math.comb(k, n) for n in range(61)
+    ]
+    assert Series.from_poly([0, 1], 60) ** k == Series.zero(60)
+
+
+@pytest.mark.parametrize("base", [[1, 1, -2], [-1, 3, 0, 1], [1, Fraction(1, 2), -3], [0, 2, 1]])
+@pytest.mark.parametrize("k", [6, 7, 9])
+def test_pow_beyond_the_order_matches_repeated_products(base, k):
+    s = Series.from_poly(base, 5)
+    want = Series.one(5)
+    for _ in range(k):
+        want = series_mul_direct(want, s)
+    assert typed((s**k).coeffs) == typed(want.coeffs)
+    if s[0]:
+        assert typed((s**-k).coeffs) == typed(recip_direct(want).coeffs)
