@@ -26,8 +26,8 @@ from .errors import (
     NonUnitLeadingCoefficient,
     OrderTooSmall,
 )
-from .series import Series, aerate, compose, compress
-from .series import exact_coeff, exact_ratio, revert, scale
+from .series import Series, aerate, compose, compose_many, compose_reverted, compress
+from .series import exact_coeff, exact_ratio, scale
 
 
 @dataclass(frozen=True)
@@ -53,8 +53,8 @@ class MRiordanElement:
     @cached_property
     def what(self) -> Series:
         """The compressed step series t*prod(fhat_i), of order (N-1)//m + 1,
-        every coefficient exact; ``compose`` truncates it to what each caller
-        needs."""
+        every coefficient exact; ``compose_many`` and ``compose_reverted``
+        truncate it to what each caller needs."""
         return prod(self.fhats[1:], start=self.fhats[0]).shift_up(1)
 
     @property
@@ -75,10 +75,21 @@ class MRiordanElement:
 @dataclass(frozen=True)
 class CoeffMatrix:
     """Lower-triangular coefficient matrix, stored row-major and exact;
-    entries follow the ``Series`` coefficient representation."""
+    entries follow the ``Series`` coefficient representation.  A shape
+    that is not `rows` rows of `rows` entries, or a nonzero entry above the
+    diagonal, is an ``InvalidArgument``."""
 
     rows: int
     entries: tuple  # tuple of row tuples, each of length `rows`
+
+    def __post_init__(self):
+        if len(self.entries) != self.rows:
+            raise InvalidArgument(f"expected {self.rows} rows, got {len(self.entries)}")
+        for n, row in enumerate(self.entries):
+            if len(row) != self.rows:
+                raise InvalidArgument(f"row {n} has {len(row)} entries, expected {self.rows}")
+            if any(row[n + 1 :]):
+                raise InvalidArgument(f"row {n} has a nonzero entry above the diagonal")
 
     def __getitem__(self, nk):
         n, k = nk
@@ -95,6 +106,8 @@ class CoeffMatrix:
         # division per entry; both operands are lower-triangular, so entry
         # (n, k) only sums over i in k..n
         size = self.rows
+        if other.rows != size:
+            raise InvalidArgument(f"cannot multiply a {size}-row matrix by a {other.rows}-row one")
         cols = [scale(col) for col in zip(*other.entries)]
         out = []
         for n, (row, dr) in enumerate(map(scale, self.entries)):
@@ -163,24 +176,24 @@ def product(a: MRiordanElement, b: MRiordanElement) -> MRiordanElement:
     """Group product, computed entirely in the compressed domain.
 
     With w_a the compressed step series of a: G(h) becomes Ghat o w_a and
-    (f_i/h)*F_i(h) becomes f_i * (Fhat_i o w_a).
+    (f_i/h)*F_i(h) becomes f_i * (Fhat_i o w_a); the m+1 substitutions share
+    the powers of w_a.
     """
     _check_compatible(a, b)
-    ghat = a.ghat * compose(b.ghat, a.what)
-    fhats = tuple(fa * compose(fb, a.what) for fa, fb in zip(a.fhats, b.fhats))
-    return MRiordanElement(a.m, ghat, fhats, a.order)
+    gb, *fbs = compose_many((b.ghat,) + b.fhats, a.what)
+    fhats = tuple(fa * fb for fa, fb in zip(a.fhats, fbs))
+    return MRiordanElement(a.m, a.ghat * gb, fhats, a.order)
 
 
 def inverse(e: MRiordanElement) -> MRiordanElement:
-    """Group inverse: revert the compressed step series, then substitute.
+    """Group inverse: substitute the reverted compressed step series.
 
     hbar^m as a function of x is wbar(x^m) with wbar = revert(what), so
-    1/g(hbar) = 1/(ghat o wbar) and x*hbar/f_i(hbar) = x/(fhat_i o wbar).
+    1/g(hbar) = 1/(ghat o wbar) and x*hbar/f_i(hbar) = x/(fhat_i o wbar);
+    one Lagrange-Burmann pass gives every substitution without wbar.
     """
-    wbar = revert(e.what)
-    inv_ghat = compose(e.ghat, wbar).recip()
-    inv_fhats = tuple(compose(fh, wbar).recip() for fh in e.fhats)
-    return MRiordanElement(e.m, inv_ghat, inv_fhats, e.order)
+    inv_ghat, *inv_fhats = (s.recip() for s in compose_reverted((e.ghat,) + e.fhats, e.what))
+    return MRiordanElement(e.m, inv_ghat, tuple(inv_fhats), e.order)
 
 
 def column_gfs(g: Series, f: Sequence[Series], ncols: int) -> list:

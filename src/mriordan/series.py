@@ -6,11 +6,13 @@ nothing is ever zero-extended implicitly, because an extended coefficient
 would be a fabricated one.
 
 Every coefficient is an ``int`` or a ``Fraction`` whose denominator is not
-1 (see :func:`exact_coeff`).  The kernels (``*``, ``recip``, ``compose``,
-``revert``, ``nth_root_unit`` and ``^``) run on integers only: a series is
-also its integer numerators over one common denominator (see
-:meth:`Series.scaled`), so a rational product is one int convolution and
-one division per output coefficient, not a gcd per term.  Coefficient
+1 (see :func:`exact_coeff`).  The kernels (``*``, ``recip``,
+``compose_many``, ``compose_reverted``, ``nth_root_unit`` and ``^``) run
+on integers only: a series is also its integer numerators over one common
+denominator (see :meth:`Series.scaled`), so a rational product is one int
+convolution and one division per output coefficient, not a gcd per term.
+``compose`` and ``revert`` are the one-series cases of the two
+substitution passes.  Coefficient
 division is always spelled ``exact_ratio(a, b)`` or ``Fraction(a, b)``:
 ``a / b`` on two ints would yield a float.
 """
@@ -18,7 +20,9 @@ division is always spelled ``exact_ratio(a, b)`` or ``Fraction(a, b)``:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import repeat
+from math import gcd, isqrt, lcm
+from operator import add, mul
 from typing import Iterable, Sequence, Union
 
 from .errors import (
@@ -293,45 +297,106 @@ def _convolve(a: Sequence[int], b: Sequence[int], n: int) -> list:
     return out
 
 
-def compose(outer: Series, inner: Series) -> Series:
-    """outer(inner(x)), exact through min(orders).
+def _powers(base: tuple, count: int, n: int) -> list:
+    """s^0..s^count through x^n, each as (nums, den), for s = nums/den
+    given as `base`: one integer convolution and one reduction a power."""
+    b, d = base
+    out = [([1] + [0] * n, 1), base]
+    for _ in range(1, count):
+        p, dp = out[-1]
+        out.append(_reduced(_convolve(p, b, n), dp * d))
+    return out
 
-    Horner evaluation on integer numerators, with outer = C/dc and
-    inner = B/db: each step multiplies the partial sum by B and adds the next
-    C_i, over one denominator that stays the least.  Since inner has
-    valuation >= 1, coefficient n of the result only sees the first n+1
-    coefficients of either operand.
+
+def compose(outer: Series, inner: Series) -> Series:
+    """outer(inner(x)), exact through min(orders); see ``compose_many``."""
+    return compose_many([outer], inner)[0]
+
+
+def compose_many(outers: Sequence[Series], inner: Series) -> list:
+    """[H(inner(x)) for H in outers], each exact through min(H.order,
+    inner.order), by baby steps and giant steps (Paterson & Stockmeyer;
+    Brent & Kung, JACM 1978, section 2) on integer numerators.
+
+    The powers inner^0..inner^k, k = isqrt(n + 1), are built once and shared
+    by every outer.  Each block of k coefficients of an outer is one linear
+    combination T_r of inner^0..inner^(k-1); Horner in inner^k then sums the
+    T_r inner^(rk).  Since inner has valuation >= 1, T_r is only needed
+    through order n - r*k, and coefficient n of a result only sees the first
+    n+1 coefficients of either operand.
     """
     if inner.coeffs[0]:
         raise CompositionRequiresValuation(
             "composition requires the inner series to have zero constant term"
         )
-    n = min(outer.order, inner.order)
-    c, dc = outer.scaled()
-    b, db = inner.scaled()
-    acc, da = [0] * (n + 1), 1  # dc * outer(inner) so far is acc/da
-    for ci in reversed(c[: n + 1]):
-        acc = _convolve(acc, b, n)
-        da *= db
-        acc[0] += ci * da
-        acc, da = _reduced(acc, da)
-    return Series._over(acc, dc * da)
+    n = min(max(o.order for o in outers), inner.order)
+    k = isqrt(n + 1)
+    pows = _powers(inner.scaled(), k, n)
+    giant, dg = pows[k]
+    giant = giant[k:]  # inner^k / x^k
+    dt = lcm(*(d for _, d in pows[:k]))  # inner^j = baby[j]/dt for j < k
+    baby = [p if d == dt else [v * (dt // d) for v in p] for p, d in pows[:k]]
+    out = []
+    for outer in outers:
+        no = min(outer.order, n)
+        c, dc = outer.scaled()
+        acc, da = [], 1  # dc * (the blocks above r, over x^(rk)) is acc/da
+        for lo in range(no - no % k, -1, -k):
+            top = no - lo  # T_r is needed through x^top
+            t = [0] * (top + 1)
+            for j, cj in enumerate(c[lo : lo + min(k - 1, top) + 1]):
+                if cj:
+                    t[j:] = map(add, t[j:], map(mul, repeat(cj), baby[j][j : top + 1]))
+            if acc:
+                acc = [0] * k + _convolve(acc, giant, top - k)
+                da *= dg
+                d = lcm(da, dt)
+                acc = [u * (d // da) + v * (d // dt) for u, v in zip(acc, t)]
+                acc, da = _reduced(acc, d)
+            else:
+                acc, da = _reduced(t, dt)
+        out.append(Series._over(acc, dc * da))
+    return out
 
 
 def revert(f: Series) -> Series:
-    """Compositional inverse by Lagrange inversion, O(N^3):
-    [x^k] fbar = (1/k) [x^{k-1}] (x/f)^k, with the powers of x/f = Q/d
-    taken on the integer numerators Q^k.
+    """Compositional inverse by Lagrange inversion: ``compose_reverted``
+    with the outer series x, so [x^k] fbar = (1/k) [x^(k-1)] (x/f)^k."""
+    return compose_reverted([Series.x(max(f.order, 1))], f)[0]
+
+
+def compose_reverted(outers: Sequence[Series], f: Series) -> list:
+    """[H(fbar(x)) for H in outers], with fbar the compositional inverse of
+    f, each exact through min(H.order, f.order), by Lagrange-Burmann
+    (Stanley, EC2 Thm 5.4.2): [x^n] H(fbar) = (1/n) [x^(n-1)] H'(x) q(x)^n
+    with q = x/f, on integer numerators.
+
+    The powers of q come in baby steps q^0..q^k and giant steps q^(a*k),
+    built once and shared by every outer (Johansson, Math. Comp. 2015).
+    With n = a*k + b, each output coefficient is then one dot product of
+    H'q^b with q^(a*k), so an outer costs k - 1 series products.
     """
     if f.coeffs[0] or f.order < 1 or not f.coeffs[1]:
         raise NotRevertible("reversion requires valuation exactly 1")
-    q, d = Series(f.coeffs[1:]).recip().scaled()  # x/f, exact through order N-1
-    out = [0, exact_ratio(q[0], d)]
-    p, dk = q, d  # (x/f)^k is p/dk
-    for k in range(2, f.order + 1):
-        p, dk = _reduced(_convolve(p, q, f.order - 1), dk * d)
-        out.append(exact_ratio(p[k - 1], k * dk))
-    return Series(out)
+    n = min(max(1, *(h.order for h in outers)), f.order)
+    k = max(1, isqrt(n // (len(outers) + 1)))
+    q = Series(f.coeffs[1 : n + 1]).recip()  # x/f, exact through x^(n-1)
+    baby = _powers(q.scaled(), k, n - 1)  # q^b
+    giant = _powers(baby[k], n // k, n - 1)  # q^(a*k)
+    out = []
+    for h in outers:
+        c, dh = h.scaled()
+        nh = min(h.order, n)
+        dc = [i * c[i] for i in range(1, nh + 1)]  # H' = dc/dh through x^(nh-1)
+        steps = [(dc, dh)] + [
+            _reduced(_convolve(dc, p, nh - 1), dh * dp) for p, dp in baby[1 : min(k, nh + 1)]
+        ]
+        vals = [Fraction(c[0], dh)]
+        for j in range(1, nh + 1):
+            (hb, db), (g, dg) = steps[j % k], giant[j // k]
+            vals.append(Fraction(sum(map(mul, hb[:j], g[j - 1 :: -1])), j * db * dg))
+        out.append(Series._over(*scale(vals)))
+    return out
 
 
 def nth_root_unit(u: Series, m: int) -> Series:

@@ -10,7 +10,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from mriordan.group import CoeffMatrix, MRiordanElement, _check_compatible, new_element, to_matrix
-from mriordan.series import Series, aerate, compose, compress, exact_coeff, nth_root_unit, revert
+from mriordan.series import Series, aerate, compress, exact_coeff, nth_root_unit, revert
 
 
 # -- Fraction-only kernels ---------------------------------------------------
@@ -109,10 +109,16 @@ def product_direct(a: MRiordanElement, b: MRiordanElement) -> MRiordanElement:
 
 
 def inverse_direct(e: MRiordanElement) -> MRiordanElement:
-    """Same inverse, evaluated in the x-domain."""
+    """Same inverse, evaluated in the x-domain: Horner substitution of the
+    aerated hbar^m.  The reversion is shared with the engine: ``revert`` is
+    the Lagrange-Burmann pass that ``inverse`` runs, so only the
+    substitutions here are independent.  ``revert`` is checked against
+    ``revert_direct`` on its own; calling that here would cost O(N^4)
+    ``Fraction`` work per inverse."""
     n = e.order
     w = step_product(e)
-    wbar = revert(compress(w, e.m, 0).truncate(n // e.m))
+    # below order m, hbar^m (valuation m) is zero at every stated order
+    wbar = revert(compress(w, e.m, 0).truncate(n // e.m)) if n >= e.m else Series.zero(0)
     hbar_m = aerate(wbar, e.m, 0, order=n)  # hbar^m as an x-series
     g = _eval_block(compress(e.g, e.m, 0).coeffs, hbar_m, n).recip()
     f = [
@@ -129,12 +135,13 @@ def product_via_root(a: MRiordanElement, b: MRiordanElement) -> MRiordanElement:
     coefficients (leading step coefficient 1).  Pure test oracle.
 
     h is exact only through order N-m+1, so the result is returned at
-    that reduced order rather than padded.
+    that reduced order rather than padded.  It substitutes with
+    ``compose_direct``, so it shares no composition code with the engine.
     """
     _check_compatible(a, b)
     h = step_series_root(a)
-    g = a.g * compose(b.g, h)
-    f = [fa * compose(fb.shift_down(1), h) for fa, fb in zip(a.f, b.f)]
+    g = a.g * compose_direct(b.g, h)
+    f = [fa * compose_direct(fb.shift_down(1), h) for fa, fb in zip(a.f, b.f)]
     n = min([g.order] + [fi.order for fi in f])
     return new_element(a.m, g.truncate(n), [fi.truncate(n) for fi in f], n)
 

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -37,6 +38,7 @@ from mriordan import (
     step_series,
     to_matrix,
 )
+from mriordan import series
 from mriordan.documents import lattice_from_doc, parse_sequence
 from mriordan.golden import THREEFOLD_DOC
 from mriordan.sequences import bareiss_determinant
@@ -304,6 +306,28 @@ def test_matmul_matches_fraction_kernel(pair):
     assert [typed(row) for row in got.entries] == [typed(row) for row in want.entries]
 
 
+@pytest.mark.parametrize("rows, entries, message", [
+    (2, ((1, 0),), "expected 2 rows, got 1"),
+    (2, ((1, 0), (3, 4), (5, 6)), "expected 2 rows, got 3"),
+    (2, ((1, 0), (3, 4, 0)), "row 1 has 3 entries, expected 2"),
+    (3, ((1, 0, 0), (1, 1), (1, 1, 1)), "row 1 has 2 entries, expected 3"),
+    (2, ((1, 2), (3, 4)), "row 0 has a nonzero entry above the diagonal"),
+    (3, ((1, 0, 0), (1, 1, Fraction(1, 2)), (1, 1, 1)), "row 1 has a nonzero entry above the diagonal"),
+])
+def test_coeff_matrix_rejects_a_bad_shape(rows, entries, message):
+    with pytest.raises(InvalidArgument) as info:
+        CoeffMatrix(rows, entries)
+    assert str(info.value) == message
+
+
+def test_matmul_rejects_operands_of_different_sizes():
+    two, three = to_matrix(identity(1, 4), 2), to_matrix(identity(1, 4), 3)
+    for a, b in ((two, three), (three, two)):
+        with pytest.raises(InvalidArgument) as info:
+            a @ b
+        assert str(info.value) == f"cannot multiply a {a.rows}-row matrix by a {b.rows}-row one"
+
+
 @pytest.mark.parametrize("make", [random_proper_element, random_rational_element])
 def test_matmul_of_element_matrices_matches_fraction_kernel(make):
     rng = random.Random(8)
@@ -345,6 +369,41 @@ def test_engines_agree():
             b = random_proper_element(rng, m, N)
             assert product(a, b) == product_direct(a, b)
             assert inverse(a) == inverse_direct(a)
+
+
+@pytest.mark.parametrize("make", [random_proper_element, random_rational_element])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_engines_agree_below_m_and_where_m_does_not_divide(make, m):
+    rng = random.Random(40 + m)
+    for order in [*range(1, 2 * m + 2), 3 * m + 1, 17]:
+        a, b = make(rng, m, order), make(rng, m, order)
+        for got, want in ((product(a, b), product_direct(a, b)), (inverse(a), inverse_direct(a))):
+            assert got == want
+            assert [typed(s.coeffs) for s in (got.g, *got.f)] == [typed(s.coeffs) for s in (want.g, *want.f)]
+
+
+@pytest.mark.parametrize("m, order", [(1, 144), (2, 288), (4, 288), (3, 100)])
+def test_product_and_inverse_convolutions_scale_with_the_root_of_the_order(monkeypatch, m, order):
+    """product shares the powers of the step series across its m+1
+    substitutions (about (m+2)*sqrt(n) series products, not (m+1)*n), and
+    inverse builds the powers of t/what once (fewer than n products, not
+    (m+2)*n).  Counts, not times, so the bound does not depend on the host."""
+    rng = random.Random(m)
+    a, b = random_proper_element(rng, m, order), random_proper_element(rng, m, order)
+    n = a.what.order
+    calls = [0]
+    convolve = series._convolve
+
+    def counted(*args):
+        calls[0] += 1
+        return convolve(*args)
+
+    monkeypatch.setattr(series, "_convolve", counted)
+    product(a, b)
+    assert calls[0] <= 3 * (m + 2) * math.isqrt(n + 1)
+    calls[0] = 0
+    inverse(a)
+    assert calls[0] <= n
 
 
 def test_compressed_engine_matches_explicit_root_engine():

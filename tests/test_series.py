@@ -22,8 +22,9 @@ from mriordan import (
     revert,
     sqrt_unit,
 )
+from mriordan.series import compose_many, compose_reverted
 
-from conftest import exact_lists, leading_coeffs, typed
+from conftest import exact_coeffs, exact_lists, leading_coeffs, typed
 from oracles import compose_direct, recip_direct, revert_direct, series_mul_direct
 
 N = 12
@@ -279,6 +280,67 @@ def test_compose_matches_fraction_kernel(outer, tail):
 def test_revert_matches_fraction_kernel(lead, tail):
     f = Series([0, lead] + tail)  # orders 1..9
     assert typed(revert(f).coeffs) == typed(revert_direct(f).coeffs)
+
+
+# inner orders around the block size k = isqrt(n + 1) of compose_many: n + 1
+# a perfect square (3, 8, 15) and one less (2, 7, 14); 0 and 1 as well
+inner_orders = st.sampled_from([0, 1, 2, 3, 7, 8, 14, 15])
+
+
+@st.composite
+def outers_around(draw, order):
+    """Outer series whose orders fall below, at and above `order`, each
+    all-int, all-rational or mixed, and one constant-only outer."""
+    orders = draw(st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=4))
+    outers = [Series(draw(exact_lists(1, 1)) + draw(exact_lists(max(0, order + d), max(0, order + d))))
+              for d in orders]
+    return outers + [Series([draw(exact_coeffs)])]
+
+
+@given(st.data(), inner_orders, st.integers(min_value=1, max_value=3))
+@settings(max_examples=100, deadline=None)
+def test_compose_many_matches_fraction_kernel(data, order, valuation):
+    valuation = min(valuation, max(order, 1))
+    inner = Series([0] * valuation + data.draw(exact_lists(order + 1 - valuation, order + 1 - valuation)))
+    outers = data.draw(outers_around(order))
+    got = compose_many(outers, inner)
+    assert [typed(s.coeffs) for s in got] == [typed(compose_direct(o, inner).coeffs) for o in outers]
+
+
+@given(st.data(), st.sampled_from([1, 2, 3, 7, 8]), leading_coeffs)
+@settings(max_examples=60, deadline=None)
+def test_compose_reverted_matches_fraction_kernel(data, order, lead):
+    f = Series([0, lead] + data.draw(exact_lists(order - 1, order - 1)))
+    outers = data.draw(outers_around(order))
+    fbar = revert_direct(f)
+    got = compose_reverted(outers, f)
+    assert [typed(s.coeffs) for s in got] == [typed(compose_direct(h, fbar).coeffs) for h in outers]
+
+
+@given(st.data(), st.integers(min_value=28, max_value=32), leading_coeffs)
+@settings(max_examples=12, deadline=None)
+def test_compose_reverted_undoes_f_at_larger_orders(data, order, lead):
+    """G = H(fbar) is the one series with G(f) = H.  At these orders the
+    baby steps of compose_reverted pass 2 and short outers end inside them."""
+    f = Series([0, lead] + data.draw(exact_lists(order - 1, order - 1)))
+    outers = data.draw(outers_around(data.draw(st.sampled_from([0, 1, 2, 5]))))
+    outers.append(Series(data.draw(exact_lists(order + 1, order + 1))))
+    for h, g in zip(outers, compose_reverted(outers, f)):
+        assert g.order == min(h.order, order)
+        assert compose_direct(g, f) == h.truncate(g.order)
+        assert all(type(c) is int or c.denominator != 1 for c in g.coeffs)
+
+
+@pytest.mark.parametrize("inner", [[1], [1, 1], [2, 0, 1], [Fraction(1, 2), 1]])
+def test_compose_many_requires_valuation(inner):
+    with pytest.raises(CompositionRequiresValuation):
+        compose_many([Series.one(3), Series.x(3)], Series(inner))
+
+
+@pytest.mark.parametrize("f", [[0], [1, 1], [0, 0, 1], [0, 0], [Fraction(1, 2), 1, 1]])
+def test_compose_reverted_requires_valuation_one(f):
+    with pytest.raises(NotRevertible):
+        compose_reverted([Series.one(3), Series.x(3)], Series(f))
 
 
 @given(series_data, series_data)
