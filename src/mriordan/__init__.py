@@ -28,7 +28,6 @@ from .group import (
     inverse,
     new_element,
     product,
-    step_series,
     to_matrix,
 )
 from .lattice import LatticeSpec, VerifyReport, count_table, left_factors, verify_against_gf

@@ -8,6 +8,7 @@ operation, print.  Output is deterministic byte-for-byte.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import golden, group, sequences
@@ -87,7 +88,10 @@ def _add_element_args(p):
     p.add_argument("--f", action="append", default=None, help="ad-hoc f expression (repeat m times)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use: ``run`` is called
+    many times in one process, and parsing leaves the parser unchanged."""
     parser = argparse.ArgumentParser(
         prog="mriordan",
         description="Exact m-Riordan group computations and lattice path counting.",
@@ -142,8 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
     except (MRiordanError, OSError) as exc:

@@ -74,18 +74,22 @@ class MRiordanElement:
 
 @dataclass(frozen=True)
 class CoeffMatrix:
-    """Lower-triangular coefficient matrix, stored row-major and exact;
-    entries follow the ``Series`` coefficient representation.  A shape
-    that is not `rows` rows of `rows` entries, or a nonzero entry above the
-    diagonal, is an ``InvalidArgument``."""
+    """Lower-triangular coefficient matrix, stored row-major as tuples of
+    entries in the ``Series`` coefficient representation (any other type is
+    a ``TypeError``).  A shape that is not `rows` rows of `rows` entries, or
+    a nonzero entry above the diagonal, is an ``InvalidArgument``."""
 
     rows: int
     entries: tuple  # tuple of row tuples, each of length `rows`
 
     def __post_init__(self):
-        if len(self.entries) != self.rows:
-            raise InvalidArgument(f"expected {self.rows} rows, got {len(self.entries)}")
-        for n, row in enumerate(self.entries):
+        entries = tuple(  # an all-int row skips the per-entry check
+            tuple(r) if set(map(type, r)) <= {int} else tuple(map(exact_coeff, r)) for r in self.entries
+        )
+        object.__setattr__(self, "entries", entries)
+        if len(entries) != self.rows:
+            raise InvalidArgument(f"expected {self.rows} rows, got {len(entries)}")
+        for n, row in enumerate(entries):
             if len(row) != self.rows:
                 raise InvalidArgument(f"row {n} has {len(row)} entries, expected {self.rows}")
             if any(row[n + 1 :]):
@@ -116,8 +120,8 @@ class CoeffMatrix:
                 col, dc = cols[k]
                 dot = sum(map(mul, row[k : n + 1], col[k : n + 1]))
                 cells.append(dot if dr == dc == 1 else exact_ratio(dot, dr * dc))
-            out.append(tuple(cells) + (0,) * (size - n - 1))
-        return CoeffMatrix(size, tuple(out))
+            out.append(cells + [0] * (size - n - 1))
+        return CoeffMatrix(size, out)
 
 
 def new_element(m: int, g: Series, f: Sequence[Series], order: int | None = None) -> MRiordanElement:
@@ -157,12 +161,6 @@ def _compress(s: Series, m: int, residue: int, component: str) -> Series:
 def identity(m: int, order: int) -> MRiordanElement:
     x = Series.x(order)
     return new_element(m, Series.one(order), [x] * m, order)
-
-
-def step_series(e: MRiordanElement) -> Series:
-    """w = f_1 * ... * f_m = h^m; valuation m, block residue 0.  It is the
-    compressed step series of the element, aerated back to the x-domain."""
-    return aerate(e.what, e.m, 0, order=e.order)
 
 
 def _check_compatible(a: MRiordanElement, b: MRiordanElement) -> None:
@@ -207,16 +205,20 @@ def column_gfs(g: Series, f: Sequence[Series], ncols: int) -> list:
 
 
 def to_matrix(e: MRiordanElement, rows: int) -> CoeffMatrix:
-    """Expand the element to `rows` rows; column k is the k-th series of
-    ``column_gfs``."""
+    """Expand the element to `rows` rows.  Column k is x^k C_k(x^m), where
+    C_0 = ghat and C_k = C_(k-1) * fhat_((k-1) mod m + 1) is needed only
+    through t-order (rows-1-k)//m, so C_(k-1) is truncated to that first."""
     if rows < 1:
         raise InvalidArgument("rows must be >= 1")
     if rows > e.order + 1:
         raise OrderTooSmall(f"{rows} rows need order >= {rows - 1}, have {e.order}")
-    cols = column_gfs(e.g, e.f, rows)
-    entries = tuple(
-        tuple(cols[k][n] if k <= n else 0 for k in range(rows)) for n in range(rows)
-    )
+    entries = [[0] * rows for _ in range(rows)]
+    col = e.ghat
+    for k in range(rows):
+        if k:
+            col = col.truncate((rows - 1 - k) // e.m) * e.fhats[(k - 1) % e.m]
+        for row, c in zip(entries[k :: e.m], col.coeffs):
+            row[k] = c
     return CoeffMatrix(rows, entries)
 
 

@@ -56,7 +56,7 @@ def count_table(spec: LatticeSpec, rows: int) -> CoeffMatrix:
                 if sn >= 0 and 0 <= sk <= sn and sk < rows:
                     acc += t[sn][sk]
             t[n][k] = acc
-    return CoeffMatrix(rows, tuple(tuple(row) for row in t))
+    return CoeffMatrix(rows, t)
 
 
 def left_factors(spec: LatticeSpec, terms: int) -> list:

@@ -3,11 +3,12 @@ bivariate table, Hankel transforms, interleavings."""
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import lcm
 from typing import Sequence
 
 from .errors import InvalidArgument, OrderTooSmall
-from .group import MRiordanElement, column_gfs, step_series, to_matrix
+from .group import MRiordanElement, to_matrix
 from .series import Coeff, Series, exact_coeff, exact_ratio
 
 
@@ -23,17 +24,20 @@ def diagonal_sums(e: MRiordanElement, terms: int) -> list:
 
 
 def _sums_along(e: MRiordanElement, terms: int, s: int) -> list:
-    """The bivariate generating function sum_k y^k col_k at y = x^s.  Every
-    column from the m-th on repeats one of the first m times a power of the
-    step series w, so it is (sum_{j<m} y^j col_j) / (1 - y^m w)."""
+    """The bivariate generating function sum_k y^k x^k C_k(x^m) at y = x^s.
+    Column j + m*r is column j times what(x^m)^r, so with t = x^m this is
+    sum_{j<m} x^((s+1)j) C_j(x^m) / (1 - t^s what)(x^m).  Term j, with
+    (s+1)j = a*m + r, adds t^a C_j/(1 - t^s what) to slot r; output term i
+    is coefficient i//m of slot i mod m."""
     if terms > e.order + 1:
         raise OrderTooSmall(f"{terms} terms need order >= {terms - 1}")
-    n = e.order
-    num = Series.zero(n)
-    for j, col in enumerate(column_gfs(e.g, e.f, e.m)):
-        num = num + col.shift_up(s * j).truncate(n)
-    den = 1 - step_series(e).shift_up(s * e.m).truncate(n)
-    return list((num / den).coeffs[:terms])
+    m, n = e.m, e.order
+    slots = [Series.zero((n - r) // m) for r in range(m)]
+    first = e.ghat * (1 - e.what.shift_up(s).truncate(n // m)).recip()
+    for j, col in enumerate(accumulate(e.fhats[: m - 1], Series.__mul__, initial=first)):
+        a, r = divmod((s + 1) * j, m)
+        slots[r] = slots[r] + col.shift_up(a)
+    return [slots[i % m][i // m] for i in range(terms)]
 
 
 def bivariate_table(e: MRiordanElement, rows: int) -> list:

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from mriordan import Series, evaluate_text, inverse
-from mriordan.cli import run
+from mriordan.cli import build_parser, run
 from mriordan.documents import (
     DocumentError,
     element_from_doc,
@@ -268,6 +268,23 @@ def test_cli_usage_error_exits_2():
     with pytest.raises(SystemExit) as info:
         run(["no-such-verb"])
     assert info.value.code == 2
+
+
+def test_cli_parser_is_built_once_and_reused(capsys):
+    """run parses with the one parser of the process; a call, even one
+    that ends in a usage error, leaves nothing behind for the next (the
+    append option --f starts from None each time)."""
+    assert build_parser() is build_parser()
+    argv = ["matrix", "--m", "2", "--g", "1/(1-x^2)", "--f", "x", "--f", "x/(1-x^2)", "--order", "6", "--rows", "5"]
+    assert run(argv) == 0
+    first = capsys.readouterr()
+    with pytest.raises(SystemExit) as info:
+        run(["matrix", "--m", "2", "--g", "1", "--f", "x", "--f", "x", "--rows", "zero"])
+    assert info.value.code == 2
+    assert "invalid" in capsys.readouterr().err
+    assert run(argv) == 0
+    assert capsys.readouterr() == first
+    assert build_parser().parse_args(["matrix", "--g", "1"]).f is None
 
 
 @pytest.mark.parametrize("argv", [

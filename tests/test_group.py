@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -35,7 +36,6 @@ from mriordan import (
     product,
     revert,
     row_sums,
-    step_series,
     to_matrix,
 )
 from mriordan import series
@@ -87,12 +87,17 @@ def test_new_element_validation_errors():
         new_element(2, Series.one(6), [Series.x(6), Series.x(8)], 6)
 
 
+def aerated_step(e):
+    """w = f_1 * ... * f_m = h^m: the compressed step series, aerated."""
+    return aerate(e.what, e.m, 0, order=e.order)
+
+
 def test_step_series(example1, example2):
-    assert step_series(identity(3, N)) == Series.from_poly([0, 0, 0, 1], N)
+    assert aerated_step(identity(3, N)) == Series.from_poly([0, 0, 0, 1], N)
     want = evaluate_text("x^3/(1-x^3)", example1.order)
-    assert step_series(example1) == want
+    assert aerated_step(example1) == want
     want2 = evaluate_text("x^3*(1+x^3)", example2.order)
-    assert step_series(example2) == want2
+    assert aerated_step(example2) == want2
 
 
 @pytest.mark.parametrize("make", [random_proper_element, random_rational_element])
@@ -101,7 +106,7 @@ def test_step_series_is_the_product_of_the_f(make):
     for m in (1, 2, 3, 4):
         for order in (m, 13, 24):
             e = make(rng, m, order)
-            assert step_series(e) == step_product(e)
+            assert aerated_step(e) == step_product(e)
 
 
 @pytest.mark.parametrize("make", [random_proper_element, random_rational_element])
@@ -115,7 +120,7 @@ def test_results_rebuild_to_themselves(make, m):
         a, b = make(rng, m, order), make(rng, m, order)
         for e in (a, product(a, b), inverse(a)):
             assert new_element(e.m, e.g, e.f, e.order) == e
-            assert step_series(e) == step_product(e)
+            assert aerated_step(e) == step_product(e)
 
 
 @pytest.mark.parametrize("m, order, g, f, error, message", [
@@ -140,7 +145,7 @@ def test_new_element_errors_at_order_0_and_below_m(m, order, g, f, error, messag
 
 def test_step_series_root(example1):
     h = step_series_root(example1)
-    w = step_series(example1)
+    w = aerated_step(example1)
     assert (h * h * h) == w.truncate(h.order * 3).truncate((h * h * h).order)
     assert h[1] == 1 and h[0] == 0
 
@@ -320,6 +325,25 @@ def test_coeff_matrix_rejects_a_bad_shape(rows, entries, message):
     assert str(info.value) == message
 
 
+def test_coeff_matrix_normalises_its_entries():
+    """Rows are stored as tuples, so list rows give the same hashable
+    matrix, and entries follow the Series rule: Fraction(3, 1) is 3."""
+    lists = CoeffMatrix(2, [[1, 0], [Fraction(3, 1), Fraction(1, 2)]])
+    tuples = CoeffMatrix(2, ((1, 0), (3, Fraction(1, 2))))
+    assert lists == tuples and hash(lists) == hash(tuples)
+    assert typed(lists.entries[1]) == [(3, int), (Fraction(1, 2), Fraction)]
+    assert (lists @ lists).entries == ((1, 0), (3 + Fraction(3, 2), Fraction(1, 4)))
+
+
+@pytest.mark.parametrize("entry", [0.5, Decimal("0.5"), True], ids=["float", "decimal", "bool"])
+def test_coeff_matrix_rejects_inexact_entries(entry):
+    with pytest.raises(TypeError) as info:
+        CoeffMatrix(1, ((entry,),))
+    assert str(info.value) == f"series coefficients must be int or Fraction, got {type(entry).__name__}"
+    with pytest.raises(TypeError):
+        CoeffMatrix(2, ((1, 0), (entry, 1)))
+
+
 def test_matmul_rejects_operands_of_different_sizes():
     two, three = to_matrix(identity(1, 4), 2), to_matrix(identity(1, 4), 3)
     for a, b in ((two, three), (three, two)):
@@ -406,6 +430,37 @@ def test_product_and_inverse_convolutions_scale_with_the_root_of_the_order(monke
     assert calls[0] <= n
 
 
+def test_element_operations_build_no_x_domain_views():
+    """Every operation runs on the compressed components: none fills the
+    cached x-domain views g and f of its operands."""
+    rng = random.Random(23)
+    for m in (1, 2, 3, 4):
+        a, b = random_proper_element(rng, m, 20), random_rational_element(rng, m, 20)
+        G = aerate(Series([1, 2, -1, 3, 1, 1, 2, 1, 1, 1, 1, 2, 1, 3, 1, 1, 1, 1, 2, 1, 1]), m, 0, order=20)
+        product(a, b), inverse(a), inverse(b), apply_ftra(b, G)
+        for e in (a, b):
+            to_matrix(e, 21), bivariate_table(e, 21), row_sums(e, 21), diagonal_sums(e, 21)
+            assert "g" not in e.__dict__ and "f" not in e.__dict__
+
+
+@pytest.mark.parametrize("m, order, rows", [(1, 60, 61), (2, 60, 61), (3, 100, 101), (4, 100, 50), (5, 30, 31)])
+def test_to_matrix_convolutions_stay_within_the_columns(monkeypatch, m, order, rows):
+    """Column k needs its compressed series only through t-order
+    (rows-1-k)//m, so the series products of to_matrix sum to at most
+    rows^2/(2m) + rows coefficients.  Counts, not times."""
+    e = random_proper_element(random.Random(m), m, order)
+    work = [0]
+    convolve = series._convolve
+
+    def counted(a, b, n):
+        work[0] += n + 1
+        return convolve(a, b, n)
+
+    monkeypatch.setattr(series, "_convolve", counted)
+    to_matrix(e, rows)
+    assert work[0] <= rows * rows / (2 * m) + rows
+
+
 def test_compressed_engine_matches_explicit_root_engine():
     # 20 random proper elements with rational coefficients: the path that
     # materializes h = (f_1...f_m)^(1/m) must agree with the block engine.
@@ -461,7 +516,7 @@ def test_outputs_keep_one_coefficient_representation(make, m, seed):
     rng = random.Random(seed)
     order = 12
     a, b = make(rng, m, order), make(rng, m, order)
-    w = step_series(a)
+    w = aerated_step(a)
     prod, inv = product(a, b), inverse(a)
     mat_a, mat_b = to_matrix(a, order + 1), to_matrix(b, order + 1)
     series_out = [

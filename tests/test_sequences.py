@@ -6,13 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mriordan import (
+    MRiordanElement,
     OrderTooSmall,
+    Series,
     bivariate_table,
     diagonal_sums,
     hankel_transform,
     identity,
     interleave_split,
     inverse,
+    new_element,
     row_sums,
     to_matrix,
 )
@@ -68,6 +71,58 @@ def test_dual_path_sums_random():
         e = random_proper_element(rng, m, 20)
         assert row_sums(e, 21) == matrix_row_sums(e, 21)
         assert diagonal_sums(e, 21) == matrix_diagonal_sums(e, 21)
+
+
+COEFFS = {
+    "int": (lambda rng: 1, lambda rng: rng.randint(-2, 2)),
+    "rational": (
+        lambda rng: rng.choice([1, -1, Fraction(2, 3), Fraction(7, 1009)]),
+        lambda rng: Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+    ),
+    "mixed": (
+        lambda rng: rng.choice([1, 2, Fraction(-1, 2)]),
+        lambda rng: rng.choice([rng.randint(-3, 3), Fraction(rng.randint(-4, 4), rng.randint(2, 5))]),
+    ),
+}
+
+
+def exact_element(rng, kind, m, order):
+    """An element with `kind` coefficients (nonzero leading ones) built
+    from its compressed components; at order 0 new_element cannot state
+    the x^1 coefficient of an f_i, so only this route reaches it."""
+    lead, coeff = COEFFS[kind]
+    ghat = Series([lead(rng)] + [coeff(rng) for _ in range(order // m)])
+    fhats = tuple(Series([lead(rng)] + [coeff(rng) for _ in range(max(order - 1, 0) // m)]) for _ in range(m))
+    e = MRiordanElement(m, ghat, fhats, order)
+    assert order == 0 or new_element(m, e.g, e.f, order) == e
+    return e
+
+
+@pytest.mark.parametrize("kind", sorted(COEFFS))
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_columns_and_sums_match_the_bivariate_expansion(kind, m):
+    """to_matrix, bivariate_table, row_sums and diagonal_sums against the
+    x-domain geometric expansion of the oracles, which shares no column
+    code with the engine: value for value and type for type, at orders 0,
+    1, below m, not divisible by m and 24, for every row and term count
+    up to order + 1, and OrderTooSmall one past it."""
+    rng = random.Random(60 + m)
+    for order in sorted({0, 1, m - 1, m + 1, 2 * m + 1, 24}):
+        e = exact_element(rng, kind, m, order)
+        want = bivariate_expansion(e, order + 1)
+        for rows in range(1, order + 2):
+            head = want[:rows]
+            assert [typed(row) for row in to_matrix(e, rows).entries] == [
+                typed(row + [0] * (rows - len(row))) for row in head
+            ]
+            assert [typed(row) for row in bivariate_table(e, rows)] == [typed(row) for row in head]
+            assert typed(row_sums(e, rows)) == typed([exact_coeff(sum(row)) for row in head])
+            assert typed(diagonal_sums(e, rows)) == typed(
+                [exact_coeff(sum(head[n - k][k] for k in range(n // 2 + 1))) for n in range(rows)]
+            )
+        for call in (to_matrix, bivariate_table, row_sums, diagonal_sums):
+            with pytest.raises(OrderTooSmall):
+                call(e, order + 2)
 
 
 def test_bivariate_identity():
