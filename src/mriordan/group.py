@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from math import prod
+from math import gcd, prod
 from operator import mul
 from typing import Sequence
 
@@ -105,22 +105,40 @@ class CoeffMatrix:
     def is_integral(self) -> bool:
         return all(v.denominator == 1 for row in self.entries for v in row)
 
+    @cached_property
+    def _stride(self) -> int:
+        """The gcd d of n - k over the nonzero entries below the diagonal (0
+        if there are none): entry (n, k) is zero unless d divides n - k.  A
+        row whose zero count shows no nonzero outside n's class is skipped."""
+        d = 0
+        for n, row in enumerate(self.entries):
+            inside = row[n % d : n : d] if d else ()
+            if n - row[:n].count(0) > len(inside) - inside.count(0):
+                d = gcd(d, *(n - k for k in range(n) if row[k]))
+                if d == 1:
+                    break
+        return d
+
     def __matmul__(self, other: "CoeffMatrix") -> "CoeffMatrix":
-        # integer numerators of each left row and each right column, one
-        # division per entry; both operands are lower-triangular, so entry
-        # (n, k) only sums over i in k..n
+        # both operands are lower-triangular and zero off the classes
+        # n = k (mod d) of their common stride d, and so is the product:
+        # entry (n, k) is computed only in n's class, from the entries of
+        # row n and column k in that class (two diagonal operands: d = rows).
+        # Those are scaled to integer numerators once; one division per entry
         size = self.rows
         if other.rows != size:
             raise InvalidArgument(f"cannot multiply a {size}-row matrix by a {other.rows}-row one")
-        cols = [scale(col) for col in zip(*other.entries)]
+        d = gcd(self._stride, other._stride) or size
+        cols = [scale(col[k::d]) for k, col in enumerate(zip(*other.entries))]
         out = []
-        for n, (row, dr) in enumerate(map(scale, self.entries)):
-            cells = []
-            for k in range(n + 1):
+        for n, row in enumerate(self.entries):
+            cells = [0] * size
+            nums, dr = scale(row[n % d : n + 1 : d])
+            for j, k in enumerate(range(n % d, n + 1, d)):
                 col, dc = cols[k]
-                dot = sum(map(mul, row[k : n + 1], col[k : n + 1]))
-                cells.append(dot if dr == dc == 1 else exact_ratio(dot, dr * dc))
-            out.append(cells + [0] * (size - n - 1))
+                dot = sum(map(mul, nums[j:], col))  # i = k, k + d, ..., n
+                cells[k] = dot if dr == dc == 1 else exact_ratio(dot, dr * dc)
+            out.append(cells)
         return CoeffMatrix(size, out)
 
 

@@ -29,6 +29,8 @@ def _sums_along(e: MRiordanElement, terms: int, s: int) -> list:
     sum_{j<m} x^((s+1)j) C_j(x^m) / (1 - t^s what)(x^m).  Term j, with
     (s+1)j = a*m + r, adds t^a C_j/(1 - t^s what) to slot r; output term i
     is coefficient i//m of slot i mod m."""
+    if terms < 1:
+        raise InvalidArgument("terms must be >= 1")
     if terms > e.order + 1:
         raise OrderTooSmall(f"{terms} terms need order >= {terms - 1}")
     m, n = e.m, e.order

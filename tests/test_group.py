@@ -4,7 +4,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mriordan import (
@@ -38,7 +38,7 @@ from mriordan import (
     row_sums,
     to_matrix,
 )
-from mriordan import series
+from mriordan import group, series
 from mriordan.documents import lattice_from_doc, parse_sequence
 from mriordan.golden import THREEFOLD_DOC
 from mriordan.sequences import bareiss_determinant
@@ -51,7 +51,7 @@ from oracles import (
     step_series_root,
 )
 
-from conftest import random_proper_element, random_rational_element, square_matrices, typed
+from conftest import exact_lists, random_proper_element, random_rational_element, square_matrices, typed
 
 N = 30
 
@@ -309,6 +309,92 @@ def test_matmul_matches_fraction_kernel(pair):
     a, b = map(_lower_triangular, pair)
     got, want = a @ b, matmul_direct(a, b)
     assert [typed(row) for row in got.entries] == [typed(row) for row in want.entries]
+
+
+STRIDES = (0, 1, 2, 3, 4, 6)  # 0: nonzero entries on the diagonal only
+
+
+def _strided(size, d, values):
+    """A lower-triangular matrix whose entry (n, k) is values[n*size + k]
+    where n = k (mod d), or n = k for d = 0, and 0 elsewhere."""
+    def admitted(n, k):
+        return n == k if d == 0 else n >= k and (n - k) % d == 0
+
+    return CoeffMatrix(size, [
+        [values[n * size + k] if admitted(n, k) else 0 for k in range(size)] for n in range(size)
+    ])
+
+
+def sparse_lists(size):
+    """``exact_lists`` of the given size with about half the values zeroed,
+    so that a row's first nonzero entries need not show its stride."""
+    masks = st.lists(st.booleans(), min_size=size, max_size=size)
+    return st.tuples(exact_lists(size, size), masks).map(lambda p: [v if keep else 0 for v, keep in zip(*p)])
+
+
+strided_pairs = st.integers(min_value=0, max_value=13).flatmap(
+    lambda n: st.tuples(
+        st.just(n), st.sampled_from(STRIDES), st.sampled_from(STRIDES), sparse_lists(n * n), sparse_lists(n * n)
+    )
+)
+
+
+def _ones(size, *cells):
+    """Values for ``_strided``: 1 on the diagonal and at `cells`, else 0."""
+    return [1 if n == k or (n, k) in cells else 0 for n in range(size) for k in range(size)]
+
+
+# stride 1, but a scan that trusts the first nonzero below the diagonal, the
+# first rows, or the first nonzero of a row would find 2, 3 or 2
+GAPS_OF_1_SEEN_LATE = (_ones(4, (2, 0), (3, 2)), _ones(8, (3, 0), (7, 6)), _ones(5, (2, 0), (4, 0), (4, 3)))
+
+
+@given(strided_pairs)
+@example((0, 1, 1, [], []))
+@example((4, 1, 1, GAPS_OF_1_SEEN_LATE[0], GAPS_OF_1_SEEN_LATE[0]))
+@example((8, 1, 1, GAPS_OF_1_SEEN_LATE[1], GAPS_OF_1_SEEN_LATE[1]))
+@example((5, 1, 1, GAPS_OF_1_SEEN_LATE[2], GAPS_OF_1_SEEN_LATE[2]))
+@example((1, 0, 0, [3], [Fraction(1, 2)]))
+@example((9, 0, 0, list(range(81)), [Fraction(k, 7) for k in range(81)]))
+@example((12, 2, 3, [1, Fraction(-1, 3), 0] * 48, list(range(144))))
+@example((12, 4, 2, [Fraction(k, 5) for k in range(144)], [2, 0, Fraction(7, 1009)] * 48))
+@example((13, 6, 0, [1] * 169, [Fraction(-5, 1013)] * 169))
+@settings(max_examples=80, deadline=None)
+def test_strided_matmul_matches_fraction_kernel(case):
+    """Operands whose nonzero entries lie on n = k (mod d) for a d of their
+    own, including mismatched strides and diagonal-only operands: the
+    product matches the Fraction kernel value for value and type for type,
+    and the operands still equal and hash as fresh copies of themselves."""
+    size, da, db, va, vb = case
+    a, b = _strided(size, da, va), _strided(size, db, vb)
+    got, want = a @ b, matmul_direct(a, b)
+    assert [typed(row) for row in got.entries] == [typed(row) for row in want.entries]
+    for mat in (a, b):
+        fresh = CoeffMatrix(mat.rows, mat.entries)
+        assert mat == fresh and fresh == mat and hash(mat) == hash(fresh) and repr(mat) == repr(fresh)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("rows", [41, 61])
+def test_matmul_multiplications_stay_within_the_residue_classes(monkeypatch, m, rows):
+    """Element matrices are zero off n = k (mod m), so @ needs at most
+    rows^3/(6m^2) + rows^2 multiplications, not the dense rows^3/6; the
+    diagonal identity matrix needs one per row.  Counts, not times."""
+    rng = random.Random(m)
+    mat_a, mat_b = (to_matrix(random_proper_element(rng, m, rows - 1), rows) for _ in range(2))
+    calls = [0]
+
+    def counted(x, y):
+        calls[0] += 1
+        return x * y
+
+    monkeypatch.setattr(group, "mul", counted)
+    mat_a @ mat_b
+    assert calls[0] <= rows**3 / (6 * m * m) + rows**2
+    calls[0] = 0
+    ident = to_matrix(identity(m, rows - 1), rows)
+    ident @ ident
+    assert calls[0] == rows
 
 
 @pytest.mark.parametrize("rows, entries, message", [

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mriordan import (
+    InvalidArgument,
     MRiordanElement,
     OrderTooSmall,
     Series,
@@ -51,6 +52,14 @@ def test_row_sums_example2_inverse(example2):
 def test_row_sums_order_guard(example1):
     with pytest.raises(OrderTooSmall):
         row_sums(example1, example1.order + 2)
+
+
+@pytest.mark.parametrize("sums", [row_sums, diagonal_sums])
+@pytest.mark.parametrize("terms", [-2, 0])
+def test_sums_need_at_least_one_term(example1, sums, terms):
+    with pytest.raises(InvalidArgument) as info:
+        sums(example1, terms)
+    assert str(info.value) == "terms must be >= 1"
 
 
 def test_diagonal_sums_identity():
