@@ -15,11 +15,11 @@ from . import golden, group, sequences
 from .documents import (
     DocumentError,
     element_from_doc,
-    element_from_json,
     element_to_json,
     load_element,
     load_lattice,
     parse_sequence,
+    read_input,
 )
 from .errors import MRiordanError, OrderTooSmall
 from .expressions import evaluate_text
@@ -63,21 +63,41 @@ def _read_element(args):
         return element_from_doc({"m": args.m, "g": args.g, "f": args.f or []}, order)
     if args.path is None:
         raise DocumentError("give an element file, or --g/--f for an ad-hoc element")
-    if args.path == "-":
-        return element_from_json(_read_text("-"), order)
     return load_element(args.path, order)
 
 
-def _read_text(path) -> str:
-    """A file, or stdin for "-", as UTF-8 text; bytes that do not decode are
-    a ``DocumentError``."""
-    try:
-        if path == "-":
-            return sys.stdin.read()
-        with open(path, "rb") as fh:
-            return fh.read().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise DocumentError(f"{path} is not UTF-8 text: {exc}")
+def _apply(args) -> None:
+    e = _read_element(args)
+    if args.terms > e.order + 1:
+        raise OrderTooSmall(f"{args.terms} terms need order >= {args.terms - 1}")
+    series = group.apply_ftra(e, evaluate_text(args.gf, e.order))
+    _print(format_sequence, series.coeffs[: args.terms], args.format)
+
+
+def _interleave(args) -> None:
+    seq = parse_sequence(read_input(args.path))
+    for slot in sequences.interleave_split(seq, args.m):
+        _print(format_sequence, slot, args.format)
+
+
+def _lattice(args) -> None:
+    spec = load_lattice(args.path)
+    if args.left_factors is not None:
+        _print(format_sequence, left_factors(spec, args.left_factors), "plain")
+    else:
+        _print(format_matrix, count_table(spec, args.rows))
+
+
+def _verify_paper(args) -> int:
+    results = golden.run_all()
+    failures = 0
+    for r in results:
+        status = "pass" if r.ok else "FAIL"
+        suffix = f"  ({r.detail})" if r.detail else ""
+        print(f"{status}  {r.name}{suffix}")
+        failures += 0 if r.ok else 1
+    print(f"{len(results) - failures}/{len(results)} fixtures passed")
+    return 0 if failures == 0 else 1
 
 
 def _add_element_args(p):
@@ -91,7 +111,8 @@ def _add_element_args(p):
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process, built on first use: ``run`` is called
-    many times in one process, and parsing leaves the parser unchanged."""
+    many times in one process, and parsing leaves the parser unchanged.
+    Each verb's handler is its ``run`` default, next to its arguments."""
     parser = argparse.ArgumentParser(
         prog="mriordan",
         description="Exact m-Riordan group computations and lattice path counting.",
@@ -101,46 +122,58 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("matrix", help="expand an element to a coefficient matrix")
     _add_element_args(p)
     p.add_argument("--rows", type=_positive_int, default=10)
+    p.set_defaults(run=lambda a: _print(format_matrix, group.to_matrix(_read_element(a), a.rows)))
 
     p = sub.add_parser("product", help="group product of two elements (prints ElementDoc)")
-    p.add_argument("path_a")
-    p.add_argument("path_b")
+    p.add_argument("path_a", help="ElementDoc JSON path, or - for stdin")
+    p.add_argument("path_b", help="ElementDoc JSON path, or - for stdin")
     p.add_argument("--order", type=_positive_int, default=None)
+    p.set_defaults(run=lambda a: _print(element_to_json, group.product(
+        load_element(a.path_a, a.order), load_element(a.path_b, a.order))))
 
     p = sub.add_parser("invert", help="group inverse of an element (prints ElementDoc)")
     _add_element_args(p)
+    p.set_defaults(run=lambda a: _print(element_to_json, group.inverse(_read_element(a))))
 
     p = sub.add_parser("apply", help="fundamental-theorem action on a series")
     _add_element_args(p)
     p.add_argument("--gf", required=True, help="expression for the series acted on")
     p.add_argument("--terms", type=_positive_int, default=20)
     p.add_argument("--format", choices=("plain", "csv"), default="plain")
+    p.set_defaults(run=_apply)
 
-    for verb, description in (
-        ("rowsums", "row sums of an element's matrix"),
-        ("diagsums", "diagonal sums of an element's matrix"),
+    for verb, sums, description in (
+        ("rowsums", sequences.row_sums, "row sums of an element's matrix"),
+        ("diagsums", sequences.diagonal_sums, "diagonal sums of an element's matrix"),
     ):
         p = sub.add_parser(verb, help=description)
         _add_element_args(p)
         p.add_argument("--terms", type=_positive_int, default=20)
         p.add_argument("--format", choices=("plain", "csv"), default="plain")
+        p.set_defaults(run=lambda a, sums=sums: _print(
+            format_sequence, sums(_read_element(a), a.terms), a.format))
 
     p = sub.add_parser("hankel", help="Hankel transform of a sequence file")
     p.add_argument("path", help="sequence file (one term per line or comma-separated), - for stdin")
     p.add_argument("--format", choices=("plain", "csv"), default="plain")
+    p.set_defaults(run=lambda a: _print(
+        format_sequence, sequences.hankel_transform(parse_sequence(read_input(a.path))), a.format))
 
     p = sub.add_parser("interleave", help="split a sequence into residue-class slots")
     p.add_argument("path", help="sequence file, - for stdin")
     p.add_argument("--m", type=_positive_int, required=True)
     p.add_argument("--format", choices=("plain", "csv"), default="csv")
+    p.set_defaults(run=_interleave)
 
     p = sub.add_parser("lattice", help="lattice path counting table / left factors")
-    p.add_argument("path", help="LatticeSpec JSON path")
+    p.add_argument("path", help="LatticeSpec JSON path, or - for stdin")
     p.add_argument("--rows", type=_positive_int, default=10)
     p.add_argument("--left-factors", type=_positive_int, default=None, metavar="TERMS",
                    help="print this many left-factor counts instead of the table")
+    p.set_defaults(run=_lattice)
 
-    sub.add_parser("verify-paper", help="run every built-in golden fixture")
+    sub.add_parser("verify-paper", help="run every built-in golden fixture").set_defaults(
+        run=_verify_paper)
 
     return parser
 
@@ -148,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        return args.run(args) or 0
     except (MRiordanError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -166,55 +199,6 @@ def _print(fmt, *args) -> None:
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
-
-
-def _dispatch(args) -> int:
-    verb = args.verb
-    if verb == "matrix":
-        e = _read_element(args)
-        _print(format_matrix, group.to_matrix(e, args.rows))
-    elif verb == "product":
-        a = load_element(args.path_a, args.order)
-        b = load_element(args.path_b, args.order)
-        _print(element_to_json, group.product(a, b))
-    elif verb == "invert":
-        _print(element_to_json, group.inverse(_read_element(args)))
-    elif verb == "apply":
-        e = _read_element(args)
-        if args.terms > e.order + 1:
-            raise OrderTooSmall(f"{args.terms} terms need order >= {args.terms - 1}")
-        series = group.apply_ftra(e, evaluate_text(args.gf, e.order))
-        _print(format_sequence, series.coeffs[: args.terms], args.format)
-    elif verb == "rowsums":
-        e = _read_element(args)
-        _print(format_sequence, sequences.row_sums(e, args.terms), args.format)
-    elif verb == "diagsums":
-        e = _read_element(args)
-        _print(format_sequence, sequences.diagonal_sums(e, args.terms), args.format)
-    elif verb == "hankel":
-        seq = parse_sequence(_read_text(args.path))
-        _print(format_sequence, sequences.hankel_transform(seq), args.format)
-    elif verb == "interleave":
-        seq = parse_sequence(_read_text(args.path))
-        for slot in sequences.interleave_split(seq, args.m):
-            _print(format_sequence, slot, args.format)
-    elif verb == "lattice":
-        spec = load_lattice(args.path)
-        if args.left_factors is not None:
-            _print(format_sequence, left_factors(spec, args.left_factors), "plain")
-        else:
-            _print(format_matrix, count_table(spec, args.rows))
-    elif verb == "verify-paper":
-        results = golden.run_all()
-        failures = 0
-        for r in results:
-            status = "pass" if r.ok else "FAIL"
-            suffix = f"  ({r.detail})" if r.detail else ""
-            print(f"{status}  {r.name}{suffix}")
-            failures += 0 if r.ok else 1
-        print(f"{len(results) - failures}/{len(results)} fixtures passed")
-        return 0 if failures == 0 else 1
-    return 0
 
 
 def main() -> None:

@@ -1,4 +1,4 @@
-"""On-disk document formats: ElementDoc and LatticeSpec JSON files.
+"""Input formats (ElementDoc and LatticeSpec JSON, sequence files) and their one reader.
 
 ElementDoc: { "m": int, "order": int, "let": [{"name","expr"}...],
               "g": str, "f": [str, ...] }
@@ -17,6 +17,7 @@ expression tokenizer does not read as one identifier.
 from __future__ import annotations
 
 import json
+import sys
 from collections.abc import Mapping
 from fractions import Fraction
 
@@ -96,7 +97,22 @@ def element_from_doc(doc: Mapping, order: int | None = None) -> MRiordanElement:
     return new_element(m, g, f, order)
 
 
-def _parse_json(text: str | bytes):
+def read_input(path) -> str:
+    """The text of an input file, or of stdin for "-": UTF-8 with a leading
+    byte-order mark dropped; bytes that do not decode are a ``DocumentError``."""
+    try:
+        if path == "-":  # a text stream with no byte buffer (io.StringIO) is read as it is
+            data = getattr(sys.stdin, "buffer", sys.stdin).read()
+        else:
+            with open(path, "rb") as fh:
+                data = fh.read()
+        text = data if isinstance(data, str) else data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DocumentError(f"{path} is not UTF-8 text: {exc}")
+    return text.removeprefix("\ufeff")
+
+
+def _parse_json(text: str):
     try:
         return json.loads(text)
     except ValueError as exc:
@@ -104,12 +120,7 @@ def _parse_json(text: str | bytes):
 
 
 def load_element(path, order: int | None = None) -> MRiordanElement:
-    with open(path, "rb") as fh:
-        return element_from_json(fh.read(), order)
-
-
-def element_from_json(text: str | bytes, order: int | None = None) -> MRiordanElement:
-    return element_from_doc(_parse_json(text), order)
+    return element_from_doc(_parse_json(read_input(path)), order)
 
 
 def series_to_expr(s: Series) -> str:
@@ -160,8 +171,7 @@ def lattice_from_doc(doc: Mapping) -> LatticeSpec:
 
 
 def load_lattice(path) -> LatticeSpec:
-    with open(path, "rb") as fh:
-        return lattice_from_doc(_parse_json(fh.read()))
+    return lattice_from_doc(_parse_json(read_input(path)))
 
 
 def parse_sequence(text: str) -> list:

@@ -128,26 +128,17 @@ def parse(text: str) -> Node:
     return node
 
 
-def _parse_expr(tok) -> Node:
-    node = _parse_term(tok)
+def _parse_expr(tok, ops=("+", "-")) -> Node:
+    """A left-associative chain of operands joined by `ops`: an expr (terms
+    joined by '+' and '-') or, with ops ('*', '/'), a term (factors)."""
+    node = None
     while True:
+        right = _parse_factor(tok) if "*" in ops else _parse_expr(tok, ("*", "/"))
+        node = right if node is None else Bin(kind, node, right, pos)
         kind, _, pos = tok.peek()
-        if kind in ("+", "-"):
-            tok.next()
-            node = Bin(kind, node, _parse_term(tok), pos)
-        else:
+        if kind not in ops:
             return node
-
-
-def _parse_term(tok) -> Node:
-    node = _parse_factor(tok)
-    while True:
-        kind, _, pos = tok.peek()
-        if kind in ("*", "/"):
-            tok.next()
-            node = Bin(kind, node, _parse_factor(tok), pos)
-        else:
-            return node
+        tok.next()
 
 
 def _parse_factor(tok) -> Node:

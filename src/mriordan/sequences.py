@@ -34,7 +34,7 @@ def _sums_along(e: MRiordanElement, terms: int, s: int) -> list:
     if terms > e.order + 1:
         raise OrderTooSmall(f"{terms} terms need order >= {terms - 1}")
     m, n = e.m, e.order
-    slots = [Series.zero((n - r) // m) for r in range(m)]
+    slots = [Series.zero(max(n - r, 0) // m) for r in range(m)]  # slot r > n is never read
     first = e.ghat * (1 - e.what.shift_up(s).truncate(n // m)).recip()
     for j, col in enumerate(accumulate(e.fhats[: m - 1], Series.__mul__, initial=first)):
         a, r = divmod((s + 1) * j, m)

@@ -64,6 +64,13 @@ def scale(values: Sequence[Coeff]) -> tuple:
     return tuple(v.numerator * (den // v.denominator) for v in values), den
 
 
+def _nonnegative(n: int, what: str) -> int:
+    """n itself: a negative order or shift is an error, never a slice from the end."""
+    if n < 0:
+        raise InvalidArgument(f"{what} must be >= 0, got {n}")
+    return n
+
+
 class Series:
     """Immutable truncated power series over the rationals."""
 
@@ -101,7 +108,7 @@ class Series:
 
     @classmethod
     def constant(cls, value: Coeff, order: int) -> "Series":
-        return cls([value] + [0] * order)
+        return cls([value] + [0] * _nonnegative(order, "order"))
 
     @classmethod
     def zero(cls, order: int) -> "Series":
@@ -146,10 +153,11 @@ class Series:
     def truncate(self, order: int) -> "Series":
         if order >= self.order:
             return self
-        return Series(self.coeffs[: order + 1])
+        return Series(self.coeffs[: _nonnegative(order, "order") + 1])
 
     def eq_through(self, other: "Series", order: int) -> bool:
-        return self.coeffs[: order + 1] == other.coeffs[: order + 1]
+        n = _nonnegative(order, "order") + 1
+        return self.coeffs[:n] == other.coeffs[:n]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Series) and self.coeffs == other.coeffs
@@ -246,10 +254,11 @@ class Series:
 
     def shift_up(self, k: int = 1) -> "Series":
         """Multiply by x^k exactly; order grows by k."""
-        return Series((0,) * k + self.coeffs)
+        return Series((0,) * _nonnegative(k, "shift") + self.coeffs)
 
     def shift_down(self, k: int = 1) -> "Series":
         """Divide by x^k; requires valuation >= k.  Order shrinks by k."""
+        _nonnegative(k, "shift")
         if any(self.coeffs[i] for i in range(min(k, self.order + 1))):
             raise DivisionByNonUnit(f"valuation < {k}, cannot divide by x^{k}")
         if self.order < k:

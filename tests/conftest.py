@@ -1,3 +1,4 @@
+import argparse
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import strategies as st
 
 from mriordan import Series, aerate, new_element
+from mriordan.cli import build_parser
 from mriordan.documents import element_from_doc
 from mriordan.golden import EXAMPLE1_DOC, EXAMPLE2_DOC, EXAMPLE3_DOC
 
@@ -85,3 +87,9 @@ leading_coeffs = st.sampled_from([1, -1, 2, -3, Fraction(2, 3), Fraction(7, 1009
 def typed(values) -> list:
     """Values with their types, so that 1 and Fraction(1) compare unequal."""
     return [(v, type(v)) for v in values]
+
+
+def cli_verbs() -> dict:
+    """The CLI's subcommand parsers by verb, as ``build_parser`` adds them."""
+    actions = build_parser()._actions
+    return next(a for a in actions if isinstance(a, argparse._SubParsersAction)).choices

@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 
 from mriordan.cli import run
 
+from conftest import cli_verbs
+
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 ELEMENT_FIXTURES = [str(FIXTURES / f"example{i}.json") for i in (1, 2, 3)]
 LATTICE_FIXTURES = [str(FIXTURES / "lattice_threefold.json"), str(FIXTURES / "lattice_up1_down2.json")]
@@ -76,10 +78,8 @@ flags = st.lists(
     max_size=3,
 )
 formats = st.lists(st.sampled_from(["plain", "csv", "json"]), max_size=1)
-verbs = st.sampled_from(
-    ["matrix", "invert", "apply", "rowsums", "diagsums", "product", "hankel",
-     "interleave", "lattice", "verify-paper", "no-such-verb"]
-)
+# every verb the parser knows, so that a new verb is fuzzed as soon as it exists
+verbs = st.sampled_from([*cli_verbs(), "no-such-verb"])
 # where the verb reads its input: a fixture, the generated document (as a
 # file or on stdin), a missing file, or ad-hoc --g/--f flags
 sources = st.sampled_from(["fixture", "lattice", "file", "stdin", "missing", "adhoc", "adhoc"])

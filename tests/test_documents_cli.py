@@ -21,6 +21,8 @@ from mriordan.documents import (
 from mriordan import golden
 from mriordan.golden import EXAMPLE1_DOC, THREEFOLD_DOC
 
+from conftest import cli_verbs
+
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
@@ -427,3 +429,88 @@ def test_cli_output_is_deterministic(capsys):
     first = capsys.readouterr().out
     run(["matrix", str(FIXTURES / "example2.json"), "--rows", "9"])
     assert capsys.readouterr().out == first
+
+
+# -- one reader for every input ------------------------------------------
+
+EXAMPLE1 = str(FIXTURES / "example1.json")
+SEQUENCE = b"1, 1, 2, 5, 14, 42, 132\n"
+BOM = b"\xef\xbb\xbf"
+
+
+def _run_with_stdin(monkeypatch, capsys, argv, data: bytes):
+    """Exit code, stdout and stderr of `argv` with `data` as the bytes on a
+    real (buffered) stdin."""
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    code = run(argv)
+    return (code, *capsys.readouterr())
+
+
+def test_every_verb_has_a_handler():
+    assert set(cli_verbs()) >= {"matrix", "product", "lattice", "verify-paper"}
+    for verb, parser in cli_verbs().items():
+        assert callable(parser.get_default("run")), verb
+
+
+@pytest.mark.parametrize("argv, source", [
+    (["matrix", "-", "--rows", "5"], EXAMPLE1),
+    (["invert", "-", "--order", "9"], EXAMPLE1),
+    (["apply", "-", "--gf", "1/(1-x^3)", "--terms", "7"], EXAMPLE1),
+    (["rowsums", "-", "--terms", "7"], EXAMPLE1),
+    (["diagsums", "-", "--terms", "7"], EXAMPLE1),
+    (["product", "-", str(FIXTURES / "example2.json"), "--order", "9"], EXAMPLE1),
+    (["product", str(FIXTURES / "example2.json"), "-", "--order", "9"], EXAMPLE1),
+    (["lattice", "-", "--rows", "5"], str(FIXTURES / "lattice_threefold.json")),
+    (["hankel", "-"], None),
+    (["interleave", "-", "--m", "3"], None),
+], ids=["matrix", "invert", "apply", "rowsums", "diagsums", "product-a", "product-b",
+        "lattice", "hankel", "interleave"])
+def test_every_path_argument_accepts_stdin(argv, source, monkeypatch, capsys, tmp_path):
+    """`-` reads stdin wherever a path goes, and prints what the file gives."""
+    if source is None:
+        source = tmp_path / "seq.txt"
+        source.write_bytes(SEQUENCE)
+    data = Path(source).read_bytes()
+    from_file = [str(source) if arg == "-" else arg for arg in argv]
+    expected = _run_with_stdin(monkeypatch, capsys, from_file, b"")
+    assert expected[0] == 0 and expected[1]
+    assert _run_with_stdin(monkeypatch, capsys, argv, data) == expected
+
+
+def test_cli_inverse_pipes_into_product(monkeypatch, capsys):
+    assert run(["invert", EXAMPLE1]) == 0
+    inv_doc = capsys.readouterr().out.encode()
+    code, out, err = _run_with_stdin(monkeypatch, capsys, ["product", "-", EXAMPLE1], inv_doc)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert (doc["g"], doc["f"]) == ("1", ["x", "x", "x"])
+
+
+@pytest.mark.parametrize("stdin", [False, True])
+def test_cli_utf16_document_exits_1(stdin, monkeypatch, capsys, tmp_path):
+    data = json.dumps(EXAMPLE1_DOC).encode("utf-16")
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    argv = ["matrix", "-" if stdin else str(path), "--rows", "3"]
+    code, out, err = _run_with_stdin(monkeypatch, capsys, argv, data)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv, source", [
+    (["matrix", "--rows", "5"], EXAMPLE1),
+    (["lattice", "--rows", "5"], str(FIXTURES / "lattice_threefold.json")),
+    (["hankel"], None),
+], ids=["element", "lattice", "sequence"])
+def test_cli_reads_a_bom_prefixed_input_as_without(argv, source, monkeypatch, capsys, tmp_path):
+    """A leading UTF-8 byte-order mark is dropped, from a document file, a
+    sequence file and stdin alike."""
+    data = SEQUENCE if source is None else Path(source).read_bytes()
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_bytes(data)
+    marked.write_bytes(BOM + data)
+    verb, *flags = argv
+    expected = _run_with_stdin(monkeypatch, capsys, [verb, str(plain), *flags], b"")
+    assert expected[0] == 0 and expected[1]
+    assert _run_with_stdin(monkeypatch, capsys, [verb, str(marked), *flags], b"") == expected
+    assert _run_with_stdin(monkeypatch, capsys, [verb, "-", *flags], BOM + data) == expected

@@ -11,6 +11,7 @@ from mriordan import (
     BlockProfileViolation,
     CompositionRequiresValuation,
     DivisionByNonUnit,
+    InvalidArgument,
     NotRevertible,
     RootRequiresUnitConstant,
     Series,
@@ -379,3 +380,18 @@ def test_pow_beyond_the_order_matches_repeated_products(base, k):
     assert typed((s**k).coeffs) == typed(want.coeffs)
     if s[0]:
         assert typed((s**-k).coeffs) == typed(recip_direct(want).coeffs)
+
+
+@pytest.mark.parametrize("call", [
+    lambda s: s.truncate(-2),
+    lambda s: s.shift_down(-1),
+    lambda s: s.shift_up(-1),
+    lambda s: s.eq_through(s, -2),
+    lambda s: Series.constant(5, -3),
+    lambda s: Series.zero(-1),
+    lambda s: Series.one(-1),
+], ids=["truncate", "shift_down", "shift_up", "eq_through", "constant", "zero", "one"])
+def test_negative_order_or_shift_is_invalid(call):
+    """A negative order or shift is an error, never a slice from the end."""
+    with pytest.raises(InvalidArgument):
+        call(Series([1, 2, 3, 4]))
