@@ -74,6 +74,13 @@ def _apply(args) -> None:
     _print(format_sequence, series.coeffs[: args.terms], args.format)
 
 
+def _product(args) -> None:
+    if args.path_a == args.path_b == "-":
+        build_parser().error("product: stdin (-) can be read only once; give a file for one operand")
+    _print(element_to_json, group.product(
+        load_element(args.path_a, args.order), load_element(args.path_b, args.order)))
+
+
 def _interleave(args) -> None:
     seq = parse_sequence(read_input(args.path))
     for slot in sequences.interleave_split(seq, args.m):
@@ -128,8 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path_a", help="ElementDoc JSON path, or - for stdin")
     p.add_argument("path_b", help="ElementDoc JSON path, or - for stdin")
     p.add_argument("--order", type=_positive_int, default=None)
-    p.set_defaults(run=lambda a: _print(element_to_json, group.product(
-        load_element(a.path_a, a.order), load_element(a.path_b, a.order))))
+    p.set_defaults(run=_product)
 
     p = sub.add_parser("invert", help="group inverse of an element (prints ElementDoc)")
     _add_element_args(p)

@@ -9,6 +9,7 @@ the recurrence knows nothing about power series.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 from typing import Sequence
 
 from .errors import InvalidArgument, OrderTooSmall
@@ -43,19 +44,37 @@ class LatticeSpec:
 
 
 def count_table(spec: LatticeSpec, rows: int) -> CoeffMatrix:
-    """Dynamic-programming fill of t_{n,k}, exact integers."""
+    """Dynamic-programming fill of t_{n,k}, exact integers.
+
+    Row n is filled one residue class r at a time: the targets k = r, r+m,
+    ... <= n form one strided slice, and for each rule (dn, dk) of class r
+    their sources form one strided slice of row n - dn.  Every row carries
+    `lo` zeros on the left and `hi` on the right, the largest shift a rule
+    makes either way, so a source outside 0 <= k - dk <= n - dn reads a
+    stored zero; the pads are trimmed before the matrix is built.
+    """
     if rows < 1:
         raise InvalidArgument("rows must be >= 1")
-    t = [[0] * rows for _ in range(rows)]
-    t[0][0] = 1
+    # a rule with |dk| >= rows only ever reads outside the triangle: k - dk
+    # is below 0, or above n - dn; dropping it keeps both pads below rows
+    rules = [[(dn, dk) for dn, dk in rule if -rows < dk < rows] for rule in spec.rules]
+    m, dks = spec.m, [dk for rule in rules for _, dk in rule]
+    lo, hi = max([0, *dks]), max([0, *(-dk for dk in dks)])
+    t = [[0] * (lo + rows + hi) for _ in range(rows)]
+    t[0][lo] = 1
     for n in range(1, rows):
-        for k in range(n + 1):
-            acc = 0
-            for dn, dk in spec.rules[k % spec.m]:
-                sn, sk = n - dn, k - dk
-                if sn >= 0 and 0 <= sk <= sn and sk < rows:
-                    acc += t[sn][sk]
-            t[n][k] = acc
+        row = t[n]
+        for r, rule in enumerate(rules):
+            start, stop = lo + r, lo + n + 1
+            acc = None
+            for dn, dk in rule:
+                if dn <= n:
+                    src = t[n - dn][start - dk : stop - dk : m]
+                    acc = src if acc is None else list(map(add, acc, src))
+            if acc is not None:
+                row[start:stop:m] = acc
+    for row in t:
+        del row[:lo], row[rows:]
     return CoeffMatrix(rows, t)
 
 

@@ -64,10 +64,11 @@ def scale(values: Sequence[Coeff]) -> tuple:
     return tuple(v.numerator * (den // v.denominator) for v in values), den
 
 
-def _nonnegative(n: int, what: str) -> int:
-    """n itself: a negative order or shift is an error, never a slice from the end."""
-    if n < 0:
-        raise InvalidArgument(f"{what} must be >= 0, got {n}")
+def _at_least(n: int, low: int, what: str) -> int:
+    """n itself: a negative order or shift, or a modulus below 1, is an
+    error, never a slice from the end or a division by zero."""
+    if n < low:
+        raise InvalidArgument(f"{what} must be >= {low}, got {n}")
     return n
 
 
@@ -108,7 +109,7 @@ class Series:
 
     @classmethod
     def constant(cls, value: Coeff, order: int) -> "Series":
-        return cls([value] + [0] * _nonnegative(order, "order"))
+        return cls([value] + [0] * _at_least(order, 0, "order"))
 
     @classmethod
     def zero(cls, order: int) -> "Series":
@@ -153,10 +154,10 @@ class Series:
     def truncate(self, order: int) -> "Series":
         if order >= self.order:
             return self
-        return Series(self.coeffs[: _nonnegative(order, "order") + 1])
+        return Series(self.coeffs[: _at_least(order, 0, "order") + 1])
 
     def eq_through(self, other: "Series", order: int) -> bool:
-        n = _nonnegative(order, "order") + 1
+        n = _at_least(order, 0, "order") + 1
         return self.coeffs[:n] == other.coeffs[:n]
 
     def __eq__(self, other) -> bool:
@@ -234,6 +235,14 @@ class Series:
             raise TypeError("series exponents must be integers")
         if n < 0:
             return self.recip() ** (-n)
+        cs = self.coeffs
+        if cs.count(0) == self.order:
+            # a monomial c*x^v: its power is c^n placed at x^(v*n), no product
+            v = next(i for i, c in enumerate(cs) if c)
+            out = [0] * len(cs)
+            if v * n < len(cs):
+                out[v * n] = cs[v] ** n
+            return Series(out)
         if n > self.order:
             # past the order the cost of binary powering grows with the
             # exponent's length; these cases have one pass that does not
@@ -254,11 +263,11 @@ class Series:
 
     def shift_up(self, k: int = 1) -> "Series":
         """Multiply by x^k exactly; order grows by k."""
-        return Series((0,) * _nonnegative(k, "shift") + self.coeffs)
+        return Series((0,) * _at_least(k, 0, "shift") + self.coeffs)
 
     def shift_down(self, k: int = 1) -> "Series":
         """Divide by x^k; requires valuation >= k.  Order shrinks by k."""
-        _nonnegative(k, "shift")
+        _at_least(k, 0, "shift")
         if any(self.coeffs[i] for i in range(min(k, self.order + 1))):
             raise DivisionByNonUnit(f"valuation < {k}, cannot divide by x^{k}")
         if self.order < k:
@@ -446,11 +455,9 @@ def aerate(s: Series, m: int, shift: int = 0, order: int | None = None) -> Serie
     requested up to m*(s.order+1) + shift - 1: those extra indices fall
     strictly between occupied slots, so their zeros are exact.
     """
-    if m < 1 or shift < 0:
-        raise InvalidArgument("aerate needs m >= 1 and shift >= 0")
-    natural = m * s.order + shift
-    if order is None:
-        order = natural
+    _at_least(m, 1, "m")
+    _at_least(shift, 0, "shift")
+    order = m * s.order + shift if order is None else _at_least(order, 0, "order")
     if order > m * (s.order + 1) + shift - 1:
         raise InvalidArgument("requested order exceeds what the source determines")
     out = [0] * (order + 1)
@@ -476,7 +483,7 @@ def check_block_profile(s: Series, m: int, residue: int) -> None:
 
 def compress(s: Series, m: int, residue: int) -> Series:
     """Inverse of aerate: keep the coefficients at indices m*n + residue."""
-    check_block_profile(s, m, residue)
+    check_block_profile(s, _at_least(m, 1, "m"), _at_least(residue, 0, "residue"))
     return Series([s.coeffs[i] for i in range(residue, s.order + 1, m)])
 
 

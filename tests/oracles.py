@@ -3,13 +3,15 @@
 None of these is used by the package itself: each recomputes a result of
 the shipped engine by a different route (term-by-term ``Fraction``
 kernels, the aerated x-domain engine, an explicit m-th root, the bivariate
-expansion, cofactor expansion, literal matrix sums).
+expansion, cofactor expansion, literal matrix sums, the lattice recurrence
+entry by entry).
 """
 
 from fractions import Fraction
 from typing import Sequence
 
 from mriordan.group import CoeffMatrix, MRiordanElement, _check_compatible, new_element, to_matrix
+from mriordan.lattice import LatticeSpec
 from mriordan.series import Series, aerate, compress, exact_coeff, nth_root_unit, revert
 
 
@@ -206,3 +208,18 @@ def interleave(slots: Sequence[Sequence]) -> list:
     for n in range(total):
         out.append(slots[n % m][n // m])
     return out
+
+
+def count_table_direct(spec: LatticeSpec, rows: int) -> CoeffMatrix:
+    """The lattice table filled entry by entry, each source bounds-checked."""
+    t = [[0] * rows for _ in range(rows)]
+    t[0][0] = 1
+    for n in range(1, rows):
+        for k in range(n + 1):
+            acc = 0
+            for dn, dk in spec.rules[k % spec.m]:
+                sn, sk = n - dn, k - dk
+                if sn >= 0 and 0 <= sk <= sn:
+                    acc += t[sn][sk]
+            t[n][k] = acc
+    return CoeffMatrix(rows, t)

@@ -514,3 +514,12 @@ def test_cli_reads_a_bom_prefixed_input_as_without(argv, source, monkeypatch, ca
     assert expected[0] == 0 and expected[1]
     assert _run_with_stdin(monkeypatch, capsys, [verb, str(marked), *flags], b"") == expected
     assert _run_with_stdin(monkeypatch, capsys, [verb, "-", *flags], BOM + data) == expected
+
+
+def test_cli_product_reads_stdin_once(capsys, monkeypatch):
+    """Both operands "-" is a usage error: stdin can be read only once."""
+    monkeypatch.setattr("sys.stdin", io.StringIO((FIXTURES / "example1.json").read_text()))
+    with pytest.raises(SystemExit) as info:
+        run(["product", "-", "-"])
+    assert info.value.code == 2
+    assert "stdin (-) can be read only once" in capsys.readouterr().err

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mriordan import (
     LatticeSpec,
@@ -19,6 +21,8 @@ from mriordan.golden import (
 )
 from mriordan.group import column_gfs
 from mriordan.series import aerate
+
+from oracles import count_table_direct
 
 
 def threefold():
@@ -117,3 +121,26 @@ def test_table_prefix_stability():
     for n in range(6):
         for k in range(6):
             assert small[n, k] == large[n, k]
+
+
+@st.composite
+def lattice_specs(draw):
+    """Random step sets: m = 1..5, up to four rules a class, dn = 1..4 and
+    dk = -6..6, so that dk > dn and |dk| > rows both occur."""
+    m = draw(st.integers(min_value=1, max_value=5))
+    step = st.tuples(st.integers(min_value=1, max_value=4), st.integers(min_value=-6, max_value=6))
+    rules = draw(st.lists(st.lists(step, max_size=4), min_size=m, max_size=m))
+    return LatticeSpec.from_lists(m, rules)
+
+
+@given(lattice_specs(), st.integers(min_value=1, max_value=40))
+# rules whose |dk| is far past any table only ever read outside the triangle
+@example(LatticeSpec.from_lists(2, [[(1, 1), (1, 0), (1, 10**9)], [(1, 1), (1, -1), (2, -10**9)]]), 20)
+@example(LatticeSpec.from_lists(2, [[(1, 1), (1, 0), (1, -10**30)], [(1, 1), (1, -1), (1, 10**30)]]), 20)
+@settings(max_examples=200, deadline=None)
+def test_count_table_matches_the_entry_by_entry_fill(spec, rows):
+    want = count_table_direct(spec, rows)
+    got = count_table(spec, rows)
+    assert got.entries == want.entries
+    assert all(type(v) is int for row in got.entries for v in row)
+    assert left_factors(spec, rows) == want.row_sums()

@@ -19,10 +19,12 @@ from mriordan import (
     catalan_series,
     compose,
     compress,
+    evaluate_text,
     nth_root_unit,
     revert,
     sqrt_unit,
 )
+from mriordan import series
 from mriordan.series import compose_many, compose_reverted
 
 from conftest import exact_coeffs, exact_lists, leading_coeffs, typed
@@ -395,3 +397,53 @@ def test_negative_order_or_shift_is_invalid(call):
     """A negative order or shift is an error, never a slice from the end."""
     with pytest.raises(InvalidArgument):
         call(Series([1, 2, 3, 4]))
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda s: compress(s, 2, -1), "residue"),
+    (lambda s: compress(s, 0, 0), "m"),
+    (lambda s: compress(s, -2, 0), "m"),
+    (lambda s: aerate(s, 2, 0, order=-3), "order"),
+    (lambda s: aerate(s, 2, -1), "shift"),
+    (lambda s: aerate(s, 0), "m"),
+], ids=["compress-residue", "compress-m0", "compress-m-neg", "aerate-order", "aerate-shift", "aerate-m0"])
+def test_aerate_and_compress_name_a_bad_argument(call, name):
+    """A negative residue, shift or order, or a modulus below 1, is an
+    InvalidArgument that names the argument."""
+    with pytest.raises(InvalidArgument) as info:
+        call(Series([1, 0, 3, 0]))
+    assert str(info.value).startswith(f"{name} must be >= ")
+
+
+@pytest.mark.parametrize("c", [1, -1, 3, -2, Fraction(2, 3), Fraction(-1, 2)])
+@pytest.mark.parametrize("v, n", [
+    (0, 0), (0, 1), (0, 7), (0, -1), (0, -3),
+    (1, 0), (1, 5), (1, 7), (2, 3), (3, 4), (4, 2), (5, 1), (6, 1), (6, 2),
+])
+def test_monomial_power_matches_repeated_products(c, v, n):
+    """c*x^v to the n: the direct placement agrees with repeated Fraction
+    products, including v*n past the order (the zero series), n = 0 and,
+    for constants, negative n."""
+    s = Series.from_poly([0] * v + [c], 6)
+    want = Series.one(6)
+    for _ in range(abs(n)):
+        want = series_mul_direct(want, s)
+    if n < 0:
+        want = recip_direct(want)
+    assert typed((s**n).coeffs) == typed(want.coeffs)
+    assert (s**n).scaled() == want.scaled()
+
+
+def test_monomial_power_makes_no_product(monkeypatch):
+    """x^60 at order 60 is placed directly, not found by binary powering."""
+    calls = [0]
+    convolve = series._convolve
+
+    def counted(*args):
+        calls[0] += 1
+        return convolve(*args)
+
+    monkeypatch.setattr(series, "_convolve", counted)
+    got = evaluate_text("x^60", 60)
+    assert list(got.coeffs) == [0] * 60 + [1]
+    assert calls[0] == 0
