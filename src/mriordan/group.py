@@ -18,6 +18,7 @@ from math import gcd, prod
 from operator import mul
 from typing import Sequence
 
+from . import series
 from .errors import (
     BlockProfileViolation,
     InvalidArgument,
@@ -27,7 +28,7 @@ from .errors import (
     OrderTooSmall,
 )
 from .series import Series, aerate, compose, compose_many, compose_reverted, compress
-from .series import exact_coeff, exact_ratio, scale
+from .series import _reduced, exact_coeff, exact_ratio, scale
 
 
 @dataclass(frozen=True)
@@ -83,9 +84,10 @@ class CoeffMatrix:
     entries: tuple  # tuple of row tuples, each of length `rows`
 
     def __post_init__(self):
-        entries = tuple(  # an all-int row skips the per-entry check
-            tuple(r) if set(map(type, r)) <= {int} else tuple(map(exact_coeff, r)) for r in self.entries
-        )
+        entries = tuple(map(tuple, self.entries))
+        # one type scan for an all-int matrix; only otherwise is each entry checked
+        if not all(list(map(type, r)).count(int) == len(r) for r in entries):
+            entries = tuple(tuple(map(exact_coeff, r)) for r in entries)
         object.__setattr__(self, "entries", entries)
         if len(entries) != self.rows:
             raise InvalidArgument(f"expected {self.rows} rows, got {len(entries)}")
@@ -225,17 +227,23 @@ def column_gfs(g: Series, f: Sequence[Series], ncols: int) -> list:
 def to_matrix(e: MRiordanElement, rows: int) -> CoeffMatrix:
     """Expand the element to `rows` rows.  Column k is x^k C_k(x^m), where
     C_0 = ghat and C_k = C_(k-1) * fhat_((k-1) mod m + 1) is needed only
-    through t-order (rows-1-k)//m, so C_(k-1) is truncated to that first."""
+    through t-order (rows-1-k)//m.  The chain runs on integer numerators
+    over one reduced denominator, so the only exact coefficients made are
+    the entries written."""
     if rows < 1:
         raise InvalidArgument("rows must be >= 1")
     if rows > e.order + 1:
         raise OrderTooSmall(f"{rows} rows need order >= {rows - 1}, have {e.order}")
+    m = e.m
+    fhats = [fh.scaled() for fh in e.fhats]
     entries = [[0] * rows for _ in range(rows)]
-    col = e.ghat
+    nums, den = e.ghat.scaled()
     for k in range(rows):
         if k:
-            col = col.truncate((rows - 1 - k) // e.m) * e.fhats[(k - 1) % e.m]
-        for row, c in zip(entries[k :: e.m], col.coeffs):
+            f, df = fhats[(k - 1) % m]
+            nums, den = _reduced(series._convolve(nums, f, (rows - 1 - k) // m), den * df)
+        values = nums if den == 1 else (exact_ratio(v, den) for v in nums)
+        for row, c in zip(entries[k::m], values):
             row[k] = c
     return CoeffMatrix(rows, entries)
 

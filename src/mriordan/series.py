@@ -11,10 +11,13 @@ Every coefficient is an ``int`` or a ``Fraction`` whose denominator is not
 on integers only: a series is also its integer numerators over one common
 denominator (see :meth:`Series.scaled`), so a rational product is one int
 convolution and one division per output coefficient, not a gcd per term.
-``compose`` and ``revert`` are the one-series cases of the two
-substitution passes.  Coefficient
-division is always spelled ``exact_ratio(a, b)`` or ``Fraction(a, b)``:
-``a / b`` on two ints would yield a float.
+Every such convolution is one call of ``_convolve``, which packs two dense
+operands of small coefficients into one integer each and multiplies once
+(Kronecker substitution), and runs the schoolbook loop on sparse or wide
+ones.  ``compose`` and ``revert`` are the one-series cases of the two
+substitution passes.  Coefficient division is always spelled
+``exact_ratio(a, b)`` or ``Fraction(a, b)``: ``a / b`` on two ints would
+yield a float.
 """
 
 from __future__ import annotations
@@ -301,9 +304,42 @@ def _extend(o: list, den: int, num: int, div: int) -> tuple:
     return o, grown
 
 
+# Kronecker substitution is taken when each operand has at least this many
+# nonzero coefficients, and two thirds of its coefficients or more, and a
+# slot needs at most this many bits; the bounds were measured on the grid
+# of orders and moduli and on aerated series (see README).
+_PACK_MIN_NONZERO = 10
+_PACK_MAX_BITS = 256
+
+
 def _convolve(a: Sequence[int], b: Sequence[int], n: int) -> list:
     """Coefficients 0..n of the product of two integer coefficient
-    sequences; zero terms are skipped, so sparse operands stay cheap."""
+    sequences.  Two dense operands of small coefficients are each packed
+    into one integer of w-bit slots, wide enough for any coefficient of the
+    product, and multiplied once (Kronecker substitution).  A sparse
+    operand (an aerated series, say), or a slot wider than the cap (as for
+    the reversion's powers, whose largest coefficient is far wider than
+    most), takes the schoolbook loop, which skips zero terms."""
+    if n >= _PACK_MIN_NONZERO - 1:
+        a, b = a[: n + 1], b[: n + 1]
+        nonzero = min(len(a) - a.count(0), len(b) - b.count(0))
+        if nonzero >= _PACK_MIN_NONZERO and 3 * nonzero >= 2 * (n + 1):
+            # |product coefficient| <= min(len) * max|a| * max|b| < 2^(w-1)
+            w = max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
+            w += min(len(a), len(b)).bit_length() + 1
+            if w <= _PACK_MAX_BITS:
+                p = (_pack(a, w) * _pack(b, w)) & ((1 << w * (n + 1)) - 1)
+                full = 1 << w
+                mask, half = full - 1, full >> 1
+                out = []
+                for _ in range(n + 1):
+                    c = p & mask
+                    p >>= w
+                    if c >= half:  # a negative slot borrowed one from the next
+                        c -= full
+                        p += 1
+                    out.append(c)
+                return out
     out = [0] * (n + 1)
     for i in range(n + 1):
         ai = a[i]
@@ -313,6 +349,14 @@ def _convolve(a: Sequence[int], b: Sequence[int], n: int) -> list:
             if b[j]:
                 out[i + j] += ai * b[j]
     return out
+
+
+def _pack(a: Sequence[int], w: int) -> int:
+    """The integer sum of a[i] * 2^(w*i): a in signed slots of w bits."""
+    p = 0
+    for c in reversed(a):
+        p = (p << w) + c
+    return p
 
 
 def _powers(base: tuple, count: int, n: int) -> list:
@@ -483,7 +527,10 @@ def check_block_profile(s: Series, m: int, residue: int) -> None:
 
 def compress(s: Series, m: int, residue: int) -> Series:
     """Inverse of aerate: keep the coefficients at indices m*n + residue."""
-    check_block_profile(s, _at_least(m, 1, "m"), _at_least(residue, 0, "residue"))
+    _at_least(m, 1, "m")
+    if _at_least(residue, 0, "residue") > s.order:
+        raise InvalidArgument(f"residue {residue} exceeds the order {s.order}")
+    check_block_profile(s, m, residue)
     return Series([s.coeffs[i] for i in range(residue, s.order + 1, m)])
 
 

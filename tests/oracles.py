@@ -22,6 +22,12 @@ from mriordan.series import Series, aerate, compress, exact_coeff, nth_root_unit
 # representation only at the end.
 
 
+def convolve_direct(a: Sequence[int], b: Sequence[int], n: int) -> list:
+    """Coefficients 0..n of the product of two integer sequences, by the
+    definition c_k = sum_{i+j=k} a_i b_j."""
+    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(n + 1)]
+
+
 def series_mul_direct(a: Series, b: Series) -> Series:
     n = min(a.order, b.order)
     return Series(

@@ -4,7 +4,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mriordan import (
@@ -28,7 +28,7 @@ from mriordan import series
 from mriordan.series import compose_many, compose_reverted
 
 from conftest import exact_coeffs, exact_lists, leading_coeffs, typed
-from oracles import compose_direct, recip_direct, revert_direct, series_mul_direct
+from oracles import compose_direct, convolve_direct, recip_direct, revert_direct, series_mul_direct
 
 N = 12
 
@@ -207,6 +207,15 @@ def test_compress_block_violation():
     with pytest.raises(BlockProfileViolation) as info:
         compress(Series.from_poly([1, 1], 1), 2, 0)
     assert info.value.index == 1
+
+
+@pytest.mark.parametrize("coeffs, m, residue", [([0, 0], 2, 5), ([0, 0, 0], 2, 3), ([1, 0], 1, 2)])
+def test_compress_names_a_residue_past_the_order(coeffs, m, residue):
+    """A residue past the order keeps no coefficient: an InvalidArgument
+    that names the residue and the order, not the empty-series error."""
+    with pytest.raises(InvalidArgument) as info:
+        compress(Series(coeffs), m, residue)
+    assert str(info.value) == f"residue {residue} exceeds the order {len(coeffs) - 1}"
 
 
 @given(coeff_lists, st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=3))
@@ -447,3 +456,58 @@ def test_monomial_power_makes_no_product(monkeypatch):
     got = evaluate_text("x^60", 60)
     assert list(got.coeffs) == [0] * 60 + [1]
     assert calls[0] == 0
+
+
+@st.composite
+def convolution_operands(draw):
+    """Two integer sequences of 1..80 coefficients and an n below both
+    lengths.  Per operand: magnitudes of up to 2^300 (often small, so that
+    both the packed product and the loop run), drawn as they are or made
+    +-2^k or +-(2^k - 1); zeros at none, a quarter, half, three quarters or
+    all of the places; signs mixed, all negative, or mixed under a negative
+    top coefficient.  Places are chosen by the bits of drawn integers.  Or,
+    where the slot bound is nearly met, both operands are one sign times
+    2^bits - 1 throughout."""
+    n = 79 - draw(st.integers(0, 79))  # from the top down, so that most operands can pack
+    la, lb = (n + 1 + draw(st.integers(0, 79 - n)) for _ in range(2))
+    tight = draw(st.booleans())
+
+    def operand(length):
+        bits = draw(st.one_of(st.integers(0, 8), st.integers(0, 120), st.integers(120, 300)))
+        if tight:
+            return [draw(st.sampled_from([1, -1])) * ((1 << bits) - 1)] * length
+        values = draw(st.lists(st.integers(0, 2**bits), min_size=length, max_size=length))
+        shape = draw(st.sampled_from(["drawn", "2^k", "2^k - 1"]))
+        if shape == "2^k":
+            values = [1 << v.bit_length() for v in values]
+        elif shape == "2^k - 1":
+            values = [(1 << v.bit_length()) - 1 for v in values]
+        r, s, t = (draw(st.integers(0, 2**length - 1)) for _ in range(3))
+        zeros = draw(st.sampled_from([0, r & s, r, r | s, 2**length - 1]))
+        signs = draw(st.sampled_from(["mixed", "negative", "negative top"]))
+        negative = t if signs != "negative" else 2**length - 1
+        out = [0 if zeros >> i & 1 else -v if negative >> i & 1 else v for i, v in enumerate(values)]
+        if signs == "negative top":
+            out[n] = -max(1, abs(out[n]))
+        return out
+
+    return operand(la), operand(lb), n
+
+
+@given(convolution_operands())
+@example(([3] * 10, [1] * 9 + [0], 9))  # 9 nonzeros: the loop
+@example(([3] * 10, [-1] * 10, 9))  # 10 nonzeros: packed
+@example(([2] * 16, [0, 0, 5, 0, 0, 5, 0, 0] + [5] * 8, 15))  # 10 nonzeros of 16: the loop
+@example(([2] * 16, [0, 0, 5, 0, 0, 5, 0, 5] + [5] * 8, 15))  # 11 nonzeros of 16: packed
+@example(([2**126 - 1] * 15, [2**125 - 1] * 15, 14))  # slot of 256 bits: packed
+@example(([2**126 - 1] * 15, [-(2**126 - 1)] * 15, 14))  # 257 bits: the loop
+@example(([-(2**125 - 1)] * 15, [2**126 - 1] * 14 + [-1], 14))  # negative top, 256 bits
+@example(([1, -1] * 40, [1] * 79 + [-(2**40)], 79))  # packed, a wide negative top
+@settings(max_examples=150, deadline=None)
+def test_convolve_matches_the_schoolbook_definition(operands):
+    """series._convolve, packed or looped, equals the definition for any
+    integer operands, and every result coefficient stays an int."""
+    a, b, n = operands
+    got = series._convolve(a, b, n)
+    assert got == convolve_direct(a, b, n)
+    assert all(type(c) is int for c in got)
