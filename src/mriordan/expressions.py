@@ -10,12 +10,21 @@ Grammar (left-associative, standard precedence):
 Reserved identifiers: ``x``, ``sqrt``, ``catalan``.  Any other identifier
 must be supplied as a binding at evaluation time.  Parentheses, unary
 minus and calls nest at most MAX_NESTING levels deep.
+
+A sum is evaluated as one coefficient list: each operand that is a
+monomial c*x^k (a product of integers, ``x`` and ``x^k``, divided by
+nonzero constants) is added at x^k without building a series, so a
+polynomial of many terms, as the CLI prints them, costs one series.  Any
+other operand is evaluated as a series and added coefficient by
+coefficient; values, coefficient types and errors are those of pairwise
+evaluation.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Mapping, Union
 
 from .errors import (
@@ -256,11 +265,14 @@ def evaluate(node: Node, bindings: Mapping[str, Series], order: int) -> Series:
         raise UnknownIdentifier(node.name, node.pos)
     if isinstance(node, Neg):
         return -evaluate(node.arg, bindings, order)
+    if isinstance(node, Bin) and node.op in "+-":
+        return _sum(node, bindings, order)
     if isinstance(node, Bin):
-        # a long sum or product parses to a left-leaning chain; walk it with
-        # a loop so that its length costs no recursion depth
+        # a long product parses to a left-leaning chain; walk it with a loop
+        # so that its length costs no recursion depth.  A sum on the left of
+        # '*' or '/' was parenthesised and is evaluated by _sum.
         chain = []
-        while isinstance(node, Bin):
+        while isinstance(node, Bin) and node.op in "*/":
             chain.append(node)
             node = node.left
         acc = evaluate(node, bindings, order)
@@ -287,6 +299,66 @@ def evaluate(node: Node, bindings: Mapping[str, Series], order: int) -> Series:
         except MRiordanError as exc:
             raise EvaluationError(str(exc), node.pos, cause=exc)
     raise TypeError(f"not an expression node: {node!r}")
+
+
+def _sum(node: Bin, bindings: Mapping[str, Series], order: int) -> Series:
+    """A chain of '+' and '-' as one list of coefficients: a monomial c*x^k
+    is added at x^k, any other operand is evaluated, left to right, and
+    added coefficient by coefficient.  The sum has the least order of its
+    operands, as pairwise sums do."""
+    chain = []
+    while isinstance(node, Bin) and node.op in "+-":
+        chain.append(node)
+        node = node.left
+    coeffs = [0] * (order + 1)
+    top = order
+    for op, operand in [("+", node)] + [(link.op, link.right) for link in reversed(chain)]:
+        term = _monomial(operand, order)
+        if term:
+            c, k = term
+            coeffs[k] = _BINARY[op](coeffs[k], c)
+            continue
+        value = evaluate(operand, bindings, order)
+        top = min(top, value.order)
+        coeffs[: top + 1] = map(_BINARY[op], coeffs[: top + 1], value.coeffs)
+    return Series(coeffs[: top + 1])
+
+
+def _monomial(node: Node, order: int):
+    """``(c, k)`` when node is c*x^k with 0 <= k <= order, built from
+    integers, ``x``, ``x^j`` (j >= 0), unary minus, '*', and '/' by a nonzero
+    constant, so that evaluating it could not raise; None otherwise."""
+    if isinstance(node, Num):
+        return (node.value, 0) if order >= 0 else None
+    if isinstance(node, Var):
+        return (1, 1) if node.name == "x" and order >= 1 else None
+    if isinstance(node, Pow):
+        base, k = node.base, node.exponent
+        if isinstance(base, Var) and base.name == "x" and order >= 1 and 0 <= k <= order:
+            return 1, k
+        return None
+    if isinstance(node, Neg):
+        term = _monomial(node.arg, order)
+        return term and (-term[0], term[1])
+    if not isinstance(node, Bin) or node.op in "+-":
+        return None
+    chain = []  # a long product costs no recursion depth
+    while isinstance(node, Bin) and node.op in "*/":
+        chain.append(node)
+        node = node.left
+    term = _monomial(node, order)
+    for link in reversed(chain):
+        right = term and _monomial(link.right, order)
+        if not right:
+            return None
+        (c, k), (rc, rk) = term, right
+        if link.op == "*" and k + rk <= order:
+            term = c * rc, k + rk
+        elif link.op == "/" and not rk and rc:
+            term = Fraction(c) / rc, k
+        else:
+            return None
+    return term
 
 
 def evaluate_text(text: str, order: int, bindings: Mapping[str, Series] | None = None) -> Series:

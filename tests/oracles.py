@@ -4,15 +4,17 @@ None of these is used by the package itself: each recomputes a result of
 the shipped engine by a different route (term-by-term ``Fraction``
 kernels, the aerated x-domain engine, an explicit m-th root, the bivariate
 expansion, cofactor expansion, literal matrix sums, the lattice recurrence
-entry by entry).
+entry by entry, pairwise expression sums).
 """
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
+from mriordan.errors import EvaluationError, MRiordanError, UnknownIdentifier
+from mriordan.expressions import _BINARY, Bin, Call, Neg, Node, Num, Pow, Var
 from mriordan.group import CoeffMatrix, MRiordanElement, _check_compatible, new_element, to_matrix
 from mriordan.lattice import LatticeSpec
-from mriordan.series import Series, aerate, compress, exact_coeff, nth_root_unit, revert
+from mriordan.series import Series, aerate, compose, compress, exact_coeff, nth_root_unit, revert, sqrt_unit
 
 
 # -- Fraction-only kernels ---------------------------------------------------
@@ -42,6 +44,34 @@ def recip_direct(s: Series) -> Series:
     for n in range(1, s.order + 1):
         out.append(-inv0 * sum((Fraction(s[k]) * out[n - k] for k in range(1, n + 1)), Fraction(0)))
     return Series(out)
+
+
+def power_direct(s: Series, p: int, q: int = 1) -> Series:
+    """s^(p/q).  For q = 1: |p| products of series_mul_direct, and recip_direct
+    for p < 0.  For q > 1 (s_0 = 1): the binomial series
+    sum_j binom(p/q, j) (s - 1)^j, which ends at j = order."""
+    if q == 1:
+        out = Series([Fraction(1)] + [0] * s.order)
+        for _ in range(abs(p)):
+            out = series_mul_direct(out, s)
+        return recip_direct(out) if p < 0 else out
+    r = Fraction(p, q)
+    t = s - 1
+    term, binom = Series.one(s.order), Fraction(1)
+    out = Series.zero(s.order)
+    for j in range(s.order + 1):
+        out = out + term * binom
+        term = series_mul_direct(term, t)
+        binom = binom * (r - j) / (j + 1)
+    return out
+
+
+def catalan_direct(order: int) -> Series:
+    """The Catalan numbers by the convolution recurrence C_(n+1) = sum C_i C_(n-i)."""
+    c = [1]
+    for n in range(order):
+        c.append(sum(c[i] * c[n - i] for i in range(n + 1)))
+    return Series(c)
 
 
 def compose_direct(outer: Series, inner: Series) -> Series:
@@ -229,3 +259,51 @@ def count_table_direct(spec: LatticeSpec, rows: int) -> CoeffMatrix:
                     acc += t[sn][sk]
             t[n][k] = acc
     return CoeffMatrix(rows, t)
+
+
+# -- expressions -------------------------------------------------------------
+
+
+def evaluate_direct(node: Node, bindings: Mapping[str, Series], order: int) -> Series:
+    """``expressions.evaluate`` with every chain, sums included, evaluated
+    pairwise from the left: each operand a Series, each step one Series
+    operation, its error wrapped at the operator."""
+    if isinstance(node, Num):
+        return Series.constant(node.value, order)
+    if isinstance(node, Var):
+        if node.name == "x":
+            if order < 1:
+                raise EvaluationError("x needs order >= 1", node.pos)
+            return Series.x(order)
+        if node.name in bindings:
+            return bindings[node.name].truncate(order)
+        raise UnknownIdentifier(node.name, node.pos)
+    if isinstance(node, Neg):
+        return -evaluate_direct(node.arg, bindings, order)
+    if isinstance(node, Bin):
+        chain = []
+        while isinstance(node, Bin):
+            chain.append(node)
+            node = node.left
+        acc = evaluate_direct(node, bindings, order)
+        for link in reversed(chain):
+            rhs = evaluate_direct(link.right, bindings, order)
+            try:
+                acc = _BINARY[link.op](acc, rhs)
+            except MRiordanError as exc:
+                raise EvaluationError(str(exc), link.pos, cause=exc)
+        return acc
+    if isinstance(node, Pow):
+        base = evaluate_direct(node.base, bindings, order)
+        if node.exponent < 0 and not base[0]:
+            raise EvaluationError("negative exponent needs a unit constant term", node.pos)
+        return base**node.exponent
+    if isinstance(node, Call):
+        arg = evaluate_direct(node.arg, bindings, order)
+        try:
+            if node.func == "catalan":
+                return compose(catalan_direct(order), arg)
+            return sqrt_unit(arg)
+        except MRiordanError as exc:
+            raise EvaluationError(str(exc), node.pos, cause=exc)
+    raise TypeError(f"not an expression node: {node!r}")

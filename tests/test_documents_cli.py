@@ -1,6 +1,7 @@
 import io
 import json
 import random
+import re
 import sys
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from mriordan.documents import (
 from mriordan import golden
 from mriordan.golden import EXAMPLE1_DOC, THREEFOLD_DOC
 
-from conftest import cli_verbs
+from conftest import cli_verbs, random_proper_element, random_rational_element
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -88,6 +89,42 @@ def test_element_doc_round_trip(example1):
     inv = inverse(example1)
     again = element_from_doc(element_to_doc(inv))
     assert again == inv
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("make", [random_proper_element, random_rational_element])
+def test_random_element_doc_round_trip(m, make):
+    rng = random.Random(m)
+    for order in (m, rng.randint(m, 40), 120):
+        e = make(rng, m, order)
+        assert element_from_doc(element_to_doc(e)) == e
+
+
+def test_reading_a_polynomial_doc_builds_no_series_per_term(monkeypatch):
+    """The terms of an inverse's document are added in place: reading it
+    makes fewer Series than it has terms, as many at order 240 as at 120."""
+    counts = {}
+    for order in (120, 240):
+        doc = element_to_doc(inverse(element_from_doc(EXAMPLE1_DOC, order)))
+        terms = sum(len(re.findall(r"[^+-]+", text)) for text in [doc["g"], *doc["f"]])
+        calls = [0]
+        init, over = Series.__init__, Series._over.__func__
+
+        def counted_init(self, coeffs):
+            calls[0] += 1
+            init(self, coeffs)
+
+        def counted_over(cls, nums, den):
+            calls[0] += 1
+            return over(cls, nums, den)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Series, "__init__", counted_init)
+            patch.setattr(Series, "_over", classmethod(counted_over))
+            element_from_doc(doc)
+        assert calls[0] < terms
+        counts[order] = calls[0]
+    assert counts[120] == counts[240]
 
 
 def test_parse_sequence_formats():

@@ -17,6 +17,9 @@ from mriordan import (
 )
 from mriordan.expressions import MAX_NESTING, Bin, Call, Neg, Num, Pow, Var
 
+from conftest import exact_lists, typed
+from oracles import evaluate_direct
+
 
 def strip(node):
     """Drop source positions for structural comparison."""
@@ -192,3 +195,58 @@ def test_lattice_g_matches_counting_oracle_column0():
     spec = LatticeSpec.from_lists(THREEFOLD_DOC["m"], THREEFOLD_DOC["rules"])
     table = count_table(spec, 11)
     assert [table[n, 0] for n in range(11)] == [1, 0, 1, 1, 3, 5, 13, 25, 62, 128, 309]
+
+
+# -- sums of monomials against the pairwise evaluation -------------------
+
+
+@st.composite
+def polynomial_texts(draw):
+    """A '+'/'-' chain of up to 40 terms, some joined by '*' or '/', with the
+    sum so far parenthesised on the left of some of those: terms c*x^k and
+    c/d*x^k with k up to past the order, x, x^k, -x^k, x/2, 2/x, 1/0, 0^0,
+    x^-1, a binding and products with it, and series that are not
+    monomials, quotients of sums among them; and the order, from 0, to
+    evaluate at."""
+    order = draw(st.integers(0, 12))
+    k = st.integers(0, order + 4).map(str)
+    c = st.integers(0, 9).map(str)
+    term = st.one_of(
+        st.builds("{}*x^{}".format, c, k),
+        st.builds("{}/{}*x^{}".format, c, st.integers(1, 9).map(str), k),
+        st.builds("x^{}".format, k),
+        st.builds("-x^{}".format, k),
+        c,
+        st.sampled_from(["x", "x/2", "2/x", "1/0", "0^0", "x^-1", "-(3*x)", "x*x^2*5",
+                         "a", "a*x", "2*a", "1/(1+x^3)", "(1+x)^2", "catalan(x^3)", "sqrt(1+x)",
+                         "(1-x^3)/(1+x^3)", "(1-x-2*x^2+x^3)/(1+x)*a", "(x-a)/0"]),
+    )
+    terms = draw(st.lists(term, min_size=1, max_size=40))
+    text = draw(st.sampled_from(["", "-"])) + terms[0]
+    for t in terms[1:]:
+        op = draw(st.sampled_from("++++----*/"))
+        if op in "*/" and draw(st.booleans()):
+            text = f"({text})"  # a sum on the left of a product
+        text += op + t
+    return text, order
+
+
+def outcome(evaluate_fn, node, bindings, order):
+    """The value with its coefficient types, or the error's class, message and offset."""
+    try:
+        value = evaluate_fn(node, bindings, order)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "offset", None)
+    return typed(value.coeffs)
+
+
+@given(polynomial_texts(), st.integers(0, 12), exact_lists(1, 13))
+@settings(max_examples=200, deadline=None)
+def test_sums_match_the_pairwise_evaluation(case, binding_order, coeffs):
+    """Monomials added in place give the value, coefficient types, order
+    and errors (class, message and offset) of pairwise evaluation; the
+    binding may have a lower order than the evaluation."""
+    text, order = case
+    node = parse(text)
+    bindings = {"a": Series(coeffs[: binding_order + 1])}
+    assert outcome(evaluate, node, bindings, order) == outcome(evaluate_direct, node, bindings, order)

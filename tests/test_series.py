@@ -27,8 +27,16 @@ from mriordan import (
 from mriordan import series
 from mriordan.series import compose_many, compose_reverted
 
-from conftest import exact_coeffs, exact_lists, leading_coeffs, typed
-from oracles import compose_direct, convolve_direct, recip_direct, revert_direct, series_mul_direct
+from conftest import exact_coeffs, exact_lists, int_coeffs, leading_coeffs, rational_coeffs, typed
+from oracles import (
+    catalan_direct,
+    compose_direct,
+    convolve_direct,
+    power_direct,
+    recip_direct,
+    revert_direct,
+    series_mul_direct,
+)
 
 N = 12
 
@@ -246,6 +254,14 @@ def test_catalan_series_functional_equation():
     c = catalan_series(15)
     assert c == 1 + (c * c).shift_up(1).truncate(15)
     assert list(c.coeffs[:7]) == [1, 1, 2, 5, 14, 42, 132]
+
+
+def test_catalan_series_matches_the_convolution_recurrence():
+    want = catalan_direct(300).coeffs
+    for order in range(301):
+        got = catalan_series(order).coeffs
+        assert got == want[: order + 1]
+        assert all(type(c) is int for c in got)
 
 
 def test_inexact_coefficients_rejected():
@@ -511,3 +527,118 @@ def test_convolve_matches_the_schoolbook_definition(operands):
     got = series._convolve(a, b, n)
     assert got == convolve_direct(a, b, n)
     assert all(type(c) is int for c in got)
+
+
+# -- kernels on the sublattice a series occupies ---------------------------
+
+wide_coeffs = st.integers(min_value=-(2**100), max_value=2**100)
+
+
+@st.composite
+def sublattice_series(draw, order, v=None, s=None, lead=None):
+    """x^v A(x^s) through `order`, v in 0..4 and s in 1..7 unless given,
+    each place nonzero or not, its coefficients all int, all rational,
+    mixed or of up to 100 bits; or a monomial c*x^v; or the zero series.
+    `lead`, if given, is the coefficient at x^v, also of a zero series."""
+    shape = draw(st.sampled_from(["lattice"] * 4 + ["monomial", "zero"]))
+    v = draw(st.integers(0, 4)) if v is None else v
+    s = draw(st.integers(1, 7)) if s is None else s
+    kind = draw(st.sampled_from([int_coeffs, rational_coeffs, exact_coeffs, wide_coeffs]))
+    places = {"lattice": range(v, order + 1, s), "monomial": range(v, v + 1), "zero": ()}[shape]
+    out = [0] * (order + 1)
+    for i in places:
+        if i <= order:
+            out[i] = draw(kind)
+    if lead is not None and v <= order:
+        out[v] = lead
+    return Series(out)
+
+
+def check_as_oracle(got, want, error):
+    """got() and want() give equal values of equal types; or, where the
+    oracle fails, got() raises `error`."""
+    try:
+        expected = want()
+    except ZeroDivisionError:
+        with pytest.raises(error):
+            got()
+        return
+    result = got()
+    if isinstance(result, list):
+        assert [typed(r.coeffs) for r in result] == [typed(e.coeffs) for e in expected]
+    else:
+        assert typed(result.coeffs) == typed(expected.coeffs)
+
+
+orders = st.integers(min_value=0, max_value=13)
+units = st.sampled_from([None, 1, -1, 2])
+
+
+@given(st.data(), orders, orders, units, units)
+@settings(max_examples=120, deadline=None)
+def test_sublattice_products_and_powers_match_the_fraction_oracles(data, na, nb, ua, ub):
+    a = data.draw(sublattice_series(na, lead=ua))
+    b = data.draw(sublattice_series(nb, lead=ub))
+    check_as_oracle(lambda: a * b, lambda: series_mul_direct(a, b), None)
+    check_as_oracle(a.recip, lambda: recip_direct(a), DivisionByNonUnit)
+    for k in (-3, 0, 1, 2, na + 1, na + 3):
+        check_as_oracle(lambda: a**k, lambda: power_direct(a, k), DivisionByNonUnit)
+    for m in (2, 3, 4):
+        if a[0] == 1:
+            check_as_oracle(lambda: nth_root_unit(a, m), lambda: power_direct(a, 1, m), None)
+        else:
+            with pytest.raises(RootRequiresUnitConstant):
+                nth_root_unit(a, m)
+
+
+@given(st.data(), orders, st.integers(1, 4), st.integers(1, 7))
+@settings(max_examples=120, deadline=None)
+def test_sublattice_compositions_match_the_fraction_oracles(data, order, v, s):
+    """Inner series x^v A(x^s) with s | v and with gcd(v, s) < s, against
+    Horner on Fraction products; a constant term is an error."""
+    v = data.draw(st.sampled_from([v, s * v]))
+    inner = data.draw(sublattice_series(order, v=v, s=s))
+    outers = [data.draw(sublattice_series(data.draw(orders))) for _ in range(data.draw(st.integers(1, 3)))]
+    check_as_oracle(lambda: compose(outers[0], inner), lambda: compose_direct(outers[0], inner), None)
+    check_as_oracle(lambda: compose_many(outers, inner),
+                    lambda: [compose_direct(o, inner) for o in outers], None)
+    constant = Series([data.draw(leading_coeffs)]) + inner
+    with pytest.raises(CompositionRequiresValuation):
+        compose_many(outers, constant)
+
+
+@given(st.data(), st.integers(1, 9), st.integers(1, 7), leading_coeffs)
+@settings(max_examples=60, deadline=None)
+def test_sublattice_reversions_match_the_fraction_oracles(data, order, s, lead):
+    """f = x F(x^s) has its inverse in the same form."""
+    f = data.draw(sublattice_series(order, v=1, s=s, lead=lead))
+    outers = [data.draw(sublattice_series(data.draw(orders))) for _ in range(2)]
+    fbar = revert_direct(f)
+    assert typed(revert(f).coeffs) == typed(fbar.coeffs)
+    check_as_oracle(lambda: compose_reverted(outers, f),
+                    lambda: [compose_direct(h, fbar) for h in outers], None)
+
+
+def test_recip_runs_on_the_sublattice(monkeypatch):
+    """1/(1+x^3) at order 60 is 21 recurrence steps in t = x^3, not 61."""
+    calls = [0]
+    extend = series._extend
+
+    def counted(*args):
+        calls[0] += 1
+        return extend(*args)
+
+    monkeypatch.setattr(series, "_extend", counted)
+    got = Series.from_poly([1, 0, 0, 1], 60).recip()
+    assert list(got.coeffs) == [(-1) ** (n // 3) if n % 3 == 0 else 0 for n in range(61)]
+    assert calls[0] == 60 // 3 + 1
+
+
+@given(st.lists(st.sampled_from([0, 0, 0, 1, -2, 7]), min_size=1, max_size=30))
+@settings(max_examples=300, deadline=None)
+def test_lattice_is_the_widest_step_of_the_nonzero_indices(a):
+    """(v, s): v the first nonzero index (0 if none), s the gcd of the
+    distances from it, 0 for at most one nonzero."""
+    nonzero = [i for i, c in enumerate(a) if c]
+    v = nonzero[0] if nonzero else 0
+    assert series._lattice(a) == (v, math.gcd(*(i - v for i in nonzero)))
