@@ -43,15 +43,16 @@ class LatticeSpec:
         return cls(m, tuple(tuple((dn, dk) for dn, dk in rule) for rule in rules))
 
 
-def count_table(spec: LatticeSpec, rows: int) -> CoeffMatrix:
-    """Dynamic-programming fill of t_{n,k}, exact integers.
+def _padded_rows(spec: LatticeSpec, rows: int):
+    """Yield (lo, row) for each row n < rows of the table t_{n,k}, exact
+    integers: t_{n,k} is row[lo + k], and every other entry is 0.
 
     Row n is filled one residue class r at a time: the targets k = r, r+m,
     ... <= n form one strided slice, and for each rule (dn, dk) of class r
     their sources form one strided slice of row n - dn.  Every row carries
     `lo` zeros on the left and `hi` on the right, the largest shift a rule
     makes either way, so a source outside 0 <= k - dk <= n - dn reads a
-    stored zero; the pads are trimmed before the matrix is built.
+    stored zero.  Only the last max(dn) rows are kept for the fill.
     """
     if rows < 1:
         raise InvalidArgument("rows must be >= 1")
@@ -60,28 +61,42 @@ def count_table(spec: LatticeSpec, rows: int) -> CoeffMatrix:
     rules = [[(dn, dk) for dn, dk in rule if -rows < dk < rows] for rule in spec.rules]
     m, dks = spec.m, [dk for rule in rules for _, dk in rule]
     lo, hi = max([0, *dks]), max([0, *(-dk for dk in dks)])
-    t = [[0] * (lo + rows + hi) for _ in range(rows)]
-    t[0][lo] = 1
+    depth = max([1, *(dn for rule in rules for dn, _ in rule)])
+    width = lo + rows + hi
+    row = [0] * width
+    row[lo] = 1
+    window = [row]  # rows n - depth .. n - 1
+    yield lo, row
     for n in range(1, rows):
-        row = t[n]
+        row = [0] * width
         for r, rule in enumerate(rules):
             start, stop = lo + r, lo + n + 1
             acc = None
             for dn, dk in rule:
                 if dn <= n:
-                    src = t[n - dn][start - dk : stop - dk : m]
+                    src = window[-dn][start - dk : stop - dk : m]
                     acc = src if acc is None else list(map(add, acc, src))
             if acc is not None:
                 row[start:stop:m] = acc
-    for row in t:
+        if n >= depth:
+            del window[0]
+        window.append(row)
+        yield lo, row
+
+
+def count_table(spec: LatticeSpec, rows: int) -> CoeffMatrix:
+    """Dynamic-programming fill of t_{n,k}, exact integers, with the pads
+    of each row trimmed."""
+    table = list(_padded_rows(spec, rows))
+    for lo, row in table:
         del row[:lo], row[rows:]
-    return CoeffMatrix(rows, t)
+    return CoeffMatrix(rows, [row for _, row in table])
 
 
 def left_factors(spec: LatticeSpec, terms: int) -> list:
     """Term n counts path prefixes reaching abscissa n: row sums of the
-    counting table."""
-    return count_table(spec, terms).row_sums()
+    counting table, each summed as the fill makes its row."""
+    return [sum(row) for _, row in _padded_rows(spec, terms)]
 
 
 @dataclass(frozen=True)

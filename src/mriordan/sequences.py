@@ -9,7 +9,7 @@ from typing import Sequence
 
 from .errors import InvalidArgument, OrderTooSmall
 from .group import MRiordanElement, to_matrix
-from .series import Coeff, Series, exact_coeff, exact_ratio
+from .series import Coeff, Series, exact_coeff, exact_ratio, scale
 
 
 def row_sums(e: MRiordanElement, terms: int) -> list:
@@ -53,6 +53,21 @@ def bivariate_table(e: MRiordanElement, rows: int) -> list:
 # -- Hankel transform ----------------------------------------------------
 
 
+def _eliminate(a: list, k: int, prev: int) -> None:
+    """One fraction-free (Bareiss) step on the square int matrix `a`, in
+    place: with pivot a[k][k] and the step's previous pivot `prev`, each
+    entry below and right of the pivot becomes a minor of order k + 2
+    (scaled alike), exactly divisible by `prev`.  Without row exchanges the
+    pivot of step k is the leading principal minor of order k + 1."""
+    n = len(a)
+    pivot, top = a[k][k], a[k]
+    for i in range(k + 1, n):
+        ai = a[i]
+        aik = ai[k]
+        for j in range(k + 1, n):
+            ai[j] = (ai[j] * pivot - aik * top[j]) // prev
+
+
 def bareiss_determinant(rows: Sequence[Sequence]) -> Coeff:
     """Exact determinant by fraction-free (Bareiss) elimination.
 
@@ -76,24 +91,35 @@ def bareiss_determinant(rows: Sequence[Sequence]) -> Coeff:
                     break
             else:
                 return 0
-        pivot, top = a[k][k], a[k]
-        for i in range(k + 1, n):
-            ai = a[i]
-            aik = ai[k]
-            for j in range(k + 1, n):
-                ai[j] = (ai[j] * pivot - aik * top[j]) // prev
-        prev = pivot
+        _eliminate(a, k, prev)
+        prev = a[k][k]
     return exact_ratio(sign * a[n - 1][n - 1], den**n)
 
 
 def hankel_transform(seq: Sequence) -> list:
-    """Term n is det [s_{i+j}] for 0 <= i,j <= n; ceil(L/2) terms."""
-    length = len(seq)
-    count = (length + 1) // 2
+    """Term n is det [s_{i+j}] for 0 <= i,j <= n; ceil(L/2) terms.
+
+    The terms are the leading principal minors of the largest Hankel
+    matrix, so one elimination without row exchanges yields them all as
+    its pivots, on the terms scaled once by the lcm D of their denominators:
+    term n is pivot_n / D^(n+1).  From the first zero pivot on, which
+    would need a row exchange, each term is its own determinant."""
+    count = (len(seq) + 1) // 2
+    if not count:
+        return []
+    nums, den = scale([exact_coeff(seq[i]) for i in range(2 * count - 1)])
+    a = [list(nums[i : i + count]) for i in range(count)]
     out = []
+    prev = 1
     for n in range(count):
-        mat = [[seq[i + j] for j in range(n + 1)] for i in range(n + 1)]
-        out.append(bareiss_determinant(mat))
+        pivot = a[n][n]
+        if not pivot:
+            break
+        out.append(exact_ratio(pivot, den ** (n + 1)))
+        _eliminate(a, n, prev)
+        prev = pivot
+    for n in range(len(out), count):
+        out.append(bareiss_determinant([[seq[i + j] for j in range(n + 1)] for i in range(n + 1)]))
     return out
 
 

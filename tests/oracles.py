@@ -8,6 +8,7 @@ entry by entry, pairwise expression sums).
 """
 
 from fractions import Fraction
+from functools import cache
 from typing import Mapping, Sequence
 
 from mriordan.errors import EvaluationError, MRiordanError, UnknownIdentifier
@@ -218,22 +219,25 @@ def matrix_diagonal_sums(e: MRiordanElement, terms: int) -> list:
 
 
 def naive_determinant(rows: Sequence[Sequence]) -> Fraction:
-    """Cofactor expansion; exponential-time oracle for small matrices."""
+    """Cofactor expansion along the first row.  The minor on the rows below
+    row i and a set of columns is expanded once and cached, so an n x n
+    matrix costs O(n·2^n) products instead of n!: an oracle for matrices of
+    up to about 12 rows."""
     n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    if n == 1:
-        return Fraction(rows[0][0])
-    total = Fraction(0)
-    for j in range(n):
-        if not rows[0][j]:
-            continue
-        minor = [
-            [row[c] for c in range(n) if c != j] for row in rows[1:]
-        ]
-        term = Fraction(rows[0][j]) * naive_determinant(minor)
-        total += term if j % 2 == 0 else -term
-    return total
+
+    @cache
+    def minor(cols: tuple):
+        if not cols:
+            return 1
+        row = rows[n - len(cols)]
+        total = 0
+        for pos, j in enumerate(cols):
+            if row[j]:
+                term = row[j] * minor(cols[:pos] + cols[pos + 1 :])
+                total += -term if pos % 2 else term
+        return total
+
+    return Fraction(minor(tuple(range(n))))
 
 
 def interleave(slots: Sequence[Sequence]) -> list:

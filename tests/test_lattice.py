@@ -3,6 +3,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mriordan import (
+    InvalidArgument,
     LatticeSpec,
     OrderTooSmall,
     Series,
@@ -12,6 +13,7 @@ from mriordan import (
     left_factors,
     verify_against_gf,
 )
+from mriordan import lattice
 from mriordan.golden import (
     STEPSET_1UP_2DOWN_DOC,
     THREEFOLD_DOC,
@@ -64,6 +66,14 @@ def test_pure_dyck_column0_is_aerated_catalan():
 def test_empty_rules_count_only_the_empty_path():
     spec = LatticeSpec.from_lists(1, [[]])
     assert left_factors(spec, 5) == [1, 0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("call", [count_table, left_factors])
+@pytest.mark.parametrize("rows", [0, -3])
+def test_tables_need_at_least_one_row(call, rows):
+    with pytest.raises(InvalidArgument) as info:
+        call(threefold(), rows)
+    assert str(info.value) == "rows must be >= 1"
 
 
 def test_steps_must_advance():
@@ -133,10 +143,19 @@ def lattice_specs(draw):
     return LatticeSpec.from_lists(m, rules)
 
 
+FOUR_BACK = LatticeSpec.from_lists(2, [[(4, 0), (1, 1)], [(1, 1), (4, 2), (2, -1)]])
+
+
 @given(lattice_specs(), st.integers(min_value=1, max_value=40))
 # rules whose |dk| is far past any table only ever read outside the triangle
 @example(LatticeSpec.from_lists(2, [[(1, 1), (1, 0), (1, 10**9)], [(1, 1), (1, -1), (2, -10**9)]]), 20)
 @example(LatticeSpec.from_lists(2, [[(1, 1), (1, 0), (1, -10**30)], [(1, 1), (1, -1), (1, 10**30)]]), 20)
+# the fill keeps the last four rows: fewer rows than that, as many, and more
+@example(FOUR_BACK, 1)
+@example(FOUR_BACK, 2)
+@example(FOUR_BACK, 3)
+@example(FOUR_BACK, 4)
+@example(FOUR_BACK, 5)
 @settings(max_examples=200, deadline=None)
 def test_count_table_matches_the_entry_by_entry_fill(spec, rows):
     want = count_table_direct(spec, rows)
@@ -144,3 +163,17 @@ def test_count_table_matches_the_entry_by_entry_fill(spec, rows):
     assert got.entries == want.entries
     assert all(type(v) is int for row in got.entries for v in row)
     assert left_factors(spec, rows) == want.row_sums()
+
+
+@pytest.mark.parametrize("spec", [threefold, up1_down2])
+@pytest.mark.parametrize("rows", [1, 50, 120])
+def test_left_factors_build_no_table(monkeypatch, spec, rows):
+    want = count_table_direct(spec(), rows).row_sums()
+
+    def refuse(*args):
+        raise AssertionError("left_factors built a CoeffMatrix")
+
+    monkeypatch.setattr(lattice, "CoeffMatrix", refuse)
+    got = left_factors(spec(), rows)
+    assert got == want
+    assert all(type(v) is int for v in got)

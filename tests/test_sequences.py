@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mriordan import (
@@ -11,6 +11,7 @@ from mriordan import (
     OrderTooSmall,
     Series,
     bivariate_table,
+    catalan_series,
     diagonal_sums,
     hankel_transform,
     identity,
@@ -20,10 +21,11 @@ from mriordan import (
     row_sums,
     to_matrix,
 )
+from mriordan import sequences
 from mriordan.sequences import bareiss_determinant
 from mriordan.series import exact_coeff
 
-from conftest import random_proper_element, square_matrices, typed
+from conftest import exact_lists, random_proper_element, square_matrices, typed
 from oracles import (
     bivariate_expansion,
     interleave,
@@ -203,6 +205,40 @@ def test_hankel_agrees_with_naive_small():
     for n in range(7):
         mat = [[seq[i + j] for j in range(n + 1)] for i in range(n + 1)]
         assert hankel_transform(seq)[n] == naive_determinant(mat)
+
+
+# zero-heavy terms make zero leading minors, from which the one elimination
+# hands over to a determinant per term
+hankel_sequences = st.one_of(
+    exact_lists(0, 24),
+    st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2)]), max_size=24),
+)
+
+
+@given(hankel_sequences)
+@example([0, 1, 2, 3, 5])  # a zero first term
+@example([1, 1, 1, 2, 3])  # a zero minor, then a nonzero one
+@example([1] * 9)
+@example([Fraction(2, 3)])
+@settings(max_examples=200, deadline=None)
+def test_hankel_matches_the_determinant_of_each_term(seq):
+    count = (len(seq) + 1) // 2
+    want = [
+        exact_coeff(naive_determinant([[seq[i + j] for j in range(n + 1)] for i in range(n + 1)]))
+        for n in range(count)
+    ]
+    assert typed(hankel_transform(seq)) == typed(want)
+
+
+def test_hankel_of_81_catalan_numbers_runs_one_elimination(monkeypatch):
+    """Every leading minor of the Catalan Hankel matrices is 1, so no term
+    falls back to a determinant of its own."""
+
+    def refuse(rows):
+        raise AssertionError("hankel_transform computed a term by its own determinant")
+
+    monkeypatch.setattr(sequences, "bareiss_determinant", refuse)
+    assert typed(hankel_transform(list(catalan_series(80).coeffs))) == typed([1] * 41)
 
 
 def test_interleave_split_examples(example1):
