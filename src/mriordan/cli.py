@@ -29,9 +29,7 @@ from .lattice import count_table, left_factors
 
 def format_matrix(mat: CoeffMatrix) -> str:
     cells = [[str(v) for v in row] for row in mat.entries]
-    widths = [
-        max(len(cells[n][k]) for n in range(mat.rows)) for k in range(mat.rows)
-    ]
+    widths = [max(map(len, col)) for col in zip(*cells)]
     lines = [
         " ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in cells
     ]

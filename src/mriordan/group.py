@@ -78,7 +78,10 @@ class CoeffMatrix:
     """Lower-triangular coefficient matrix, stored row-major as tuples of
     entries in the ``Series`` coefficient representation (any other type is
     a ``TypeError``).  A shape that is not `rows` rows of `rows` entries, or
-    a nonzero entry above the diagonal, is an ``InvalidArgument``."""
+    a nonzero entry above the diagonal, is an ``InvalidArgument``.  The
+    constructor checks this once, where a matrix enters the package; the
+    package's own builders (``to_matrix``, ``@``, ``count_table``) go
+    through ``_built`` instead."""
 
     rows: int
     entries: tuple  # tuple of row tuples, each of length `rows`
@@ -97,6 +100,18 @@ class CoeffMatrix:
             if any(row[n + 1 :]):
                 raise InvalidArgument(f"row {n} has a nonzero entry above the diagonal")
 
+    @classmethod
+    def _built(cls, rows: int, lists, stride: int | None = None) -> "CoeffMatrix":
+        """A matrix of rows the package itself built: `rows` lower-triangular
+        rows of `rows` entries, already in the coefficient representation,
+        so nothing is checked or normalised.  A known `stride` must divide
+        the gcd that ``_stride`` would scan for (0 only where that is 0)."""
+        mat = object.__new__(cls)
+        mat.__dict__.update(rows=rows, entries=tuple(map(tuple, lists)))
+        if stride is not None:
+            mat.__dict__["_stride"] = stride
+        return mat
+
     def __getitem__(self, nk):
         n, k = nk
         return self.entries[n][k]
@@ -111,7 +126,8 @@ class CoeffMatrix:
     def _stride(self) -> int:
         """The gcd d of n - k over the nonzero entries below the diagonal (0
         if there are none): entry (n, k) is zero unless d divides n - k.  A
-        row whose zero count shows no nonzero outside n's class is skipped."""
+        row whose zero count shows no nonzero outside n's class is skipped.
+        ``_built`` stores a divisor of d here when the builder knows one."""
         d = 0
         for n, row in enumerate(self.entries):
             inside = row[n % d : n : d] if d else ()
@@ -130,7 +146,8 @@ class CoeffMatrix:
         size = self.rows
         if other.rows != size:
             raise InvalidArgument(f"cannot multiply a {size}-row matrix by a {other.rows}-row one")
-        d = gcd(self._stride, other._stride) or size
+        stride = gcd(self._stride, other._stride)
+        d = stride or size
         cols = [scale(col[k::d]) for k, col in enumerate(zip(*other.entries))]
         out = []
         for n, row in enumerate(self.entries):
@@ -141,7 +158,7 @@ class CoeffMatrix:
                 dot = sum(map(mul, nums[j:], col))  # i = k, k + d, ..., n
                 cells[k] = dot if dr == dc == 1 else exact_ratio(dot, dr * dc)
             out.append(cells)
-        return CoeffMatrix(size, out)
+        return CoeffMatrix._built(size, out, stride)
 
 
 def new_element(m: int, g: Series, f: Sequence[Series], order: int | None = None) -> MRiordanElement:
@@ -225,11 +242,22 @@ def column_gfs(g: Series, f: Sequence[Series], ncols: int) -> list:
 
 
 def to_matrix(e: MRiordanElement, rows: int) -> CoeffMatrix:
-    """Expand the element to `rows` rows.  Column k is x^k C_k(x^m), where
-    C_0 = ghat and C_k = C_(k-1) * fhat_((k-1) mod m + 1) is needed only
-    through t-order (rows-1-k)//m.  The chain runs on integer numerators
-    over one reduced denominator, so the only exact coefficients made are
-    the entries written."""
+    """Expand the element to `rows` rows.  Every nonzero index of C_k is a
+    sum of the first nonzero indices v of ghat and the fhat_i plus multiples
+    of their steps s (``series._lattice``), so m times the gcd of all of
+    them divides the matrix's stride; it is 0 only when every component is
+    a constant, as for the identity, and the matrix is diagonal."""
+    lists = _matrix_rows(e, rows)
+    steps = (n for c in (e.ghat, *e.fhats) for n in series._lattice(c.coeffs))
+    return CoeffMatrix._built(rows, lists, e.m * gcd(*steps))
+
+
+def _matrix_rows(e: MRiordanElement, rows: int) -> list:
+    """The element's matrix as `rows` list rows.  Column k is x^k C_k(x^m),
+    where C_0 = ghat and C_k = C_(k-1) * fhat_((k-1) mod m + 1) is needed
+    only through t-order (rows-1-k)//m.  The chain runs on integer
+    numerators over one reduced denominator, so the only exact coefficients
+    made are the entries written."""
     if rows < 1:
         raise InvalidArgument("rows must be >= 1")
     if rows > e.order + 1:
@@ -245,7 +273,7 @@ def to_matrix(e: MRiordanElement, rows: int) -> CoeffMatrix:
         values = nums if den == 1 else (exact_ratio(v, den) for v in nums)
         for row, c in zip(entries[k::m], values):
             row[k] = c
-    return CoeffMatrix(rows, entries)
+    return entries
 
 
 def apply_ftra(e: MRiordanElement, G: Series) -> Series:

@@ -90,7 +90,7 @@ def count_table(spec: LatticeSpec, rows: int) -> CoeffMatrix:
     table = list(_padded_rows(spec, rows))
     for lo, row in table:
         del row[:lo], row[rows:]
-    return CoeffMatrix(rows, [row for _, row in table])
+    return CoeffMatrix._built(rows, [row for _, row in table])
 
 
 def left_factors(spec: LatticeSpec, terms: int) -> list:

@@ -8,7 +8,7 @@ from math import lcm
 from typing import Sequence
 
 from .errors import InvalidArgument, OrderTooSmall
-from .group import MRiordanElement, to_matrix
+from .group import MRiordanElement, _matrix_rows
 from .series import Coeff, Series, exact_coeff, exact_ratio, scale
 
 
@@ -46,8 +46,7 @@ def bivariate_table(e: MRiordanElement, rows: int) -> list:
     """Rows of the bivariate expansion: row n is the coefficient list (over
     powers of y) of [x^n] in g*(sum_j y^j f_1..f_j)/(1 - y^m f_1..f_m),
     that is, row n of the element's matrix through the diagonal."""
-    mat = to_matrix(e, rows)
-    return [list(row[: n + 1]) for n, row in enumerate(mat.entries)]
+    return [row[: n + 1] for n, row in enumerate(_matrix_rows(e, rows))]
 
 
 # -- Hankel transform ----------------------------------------------------

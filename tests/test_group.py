@@ -12,6 +12,7 @@ from mriordan import (
     CoeffMatrix,
     InvalidArgument,
     LatticeSpec,
+    MRiordanElement,
     MRiordanError,
     MixedModulus,
     MixedOrder,
@@ -51,7 +52,15 @@ from oracles import (
     step_series_root,
 )
 
-from conftest import exact_lists, random_proper_element, random_rational_element, square_matrices, typed
+from conftest import (
+    exact_lists,
+    int_coeffs,
+    random_proper_element,
+    random_rational_element,
+    rational_coeffs,
+    square_matrices,
+    typed,
+)
 
 N = 30
 
@@ -450,6 +459,102 @@ def test_matmul_of_element_matrices_matches_fraction_kernel(make):
         mat_a, mat_b = to_matrix(a, 15), to_matrix(b, 15)
         got, want = mat_a @ mat_b, matmul_direct(mat_a, mat_b)
         assert [typed(row) for row in got.entries] == [typed(row) for row in want.entries]
+
+
+def _on_lattice(values, v, s):
+    """A compressed component: values kept at the indices v + s*j only (at v
+    alone for s = 0), the rest 0."""
+    kept = (i == v if s == 0 else i >= v and (i - v) % s == 0 for i in range(len(values)))
+    return Series([c if keep else 0 for c, keep in zip(values, kept)])
+
+
+@st.composite
+def lattice_elements(draw, m, order, coeffs):
+    """An element built directly, without ``new_element``, so that a
+    component may be dense (s = 1), on a coarser sublattice of t (s = 2, 3),
+    a monomial (s = 0: 1 for the identity), or start at t^v with v > 0 (a
+    zero leading coefficient)."""
+    def component(length):
+        v, s = draw(st.integers(0, 2)), draw(st.integers(0, 3))
+        return _on_lattice(draw(st.lists(coeffs, min_size=length, max_size=length)), v, s)
+
+    ghat = component(order // m + 1)
+    return MRiordanElement(m, ghat, tuple(component((order - 1) // m + 1) for _ in range(m)), order)
+
+
+@st.composite
+def lattice_element_pairs(draw):
+    coeffs = draw(st.sampled_from([int_coeffs, rational_coeffs]))
+    a_m, b_m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    order = draw(st.integers(4, 16))
+    a, b = draw(lattice_elements(a_m, order, coeffs)), draw(lattice_elements(b_m, order, coeffs))
+    return a, b, draw(st.integers(1, order + 1))
+
+
+def _cached_stride_divides_the_scan(mat):
+    cached = mat.__dict__["_stride"]
+    scanned = CoeffMatrix(mat.rows, mat.entries)._stride
+    assert scanned % cached == 0 if cached else scanned == 0
+
+
+def _monomials(m, order, ghat, *fhats):
+    """An element whose components are the monomials c*t^v of the given
+    (c, v) pairs."""
+    def monomial(c, v, length):
+        return _on_lattice([c] * length, v, 0)
+
+    fhats = tuple(monomial(*fh, (order - 1) // m + 1) for fh in fhats)
+    return MRiordanElement(m, monomial(*ghat, order // m + 1), fhats, order)
+
+
+@given(lattice_element_pairs())
+@example((identity(2, 12), identity(2, 12), 13))
+@example((identity(3, 12), _monomials(3, 12, (1, 0), (1, 0), (2, 1), (1, 0)), 13))
+@example((_monomials(1, 12, (1, 0), (1, 1)), _monomials(2, 12, (1, 1), (1, 0), (1, 0)), 13))
+@settings(max_examples=120, deadline=None)
+def test_builders_cache_a_divisor_of_the_scanned_stride(case):
+    """The stride that to_matrix and @ store without a scan divides the one
+    the public constructor's scan finds on a fresh copy, and is 0 only where
+    that one is: products on it match the Fraction kernel."""
+    a, b, rows = case
+    mat_a, mat_b = to_matrix(a, rows), to_matrix(b, rows)
+    for mat in (mat_a, mat_b):
+        _cached_stride_divides_the_scan(mat)
+    got = mat_a @ mat_b
+    _cached_stride_divides_the_scan(got)
+    for lhs, rhs in ((mat_a, mat_b), (got, mat_a), (mat_b, got)):
+        want = matmul_direct(lhs, rhs)
+        assert [typed(row) for row in (lhs @ rhs).entries] == [typed(row) for row in want.entries]
+
+
+def test_builders_make_no_checked_matrix(monkeypatch):
+    """to_matrix, @, count_table and bivariate_table do not run the public
+    constructor's checks; what they build equals, hashes and prints as the
+    checked matrix of the same rows, with the same entry types."""
+    calls = [0]
+    checked = CoeffMatrix.__post_init__
+
+    def counted(self):
+        calls[0] += 1
+        checked(self)
+
+    monkeypatch.setattr(CoeffMatrix, "__post_init__", counted)
+    rng = random.Random(16)
+    spec = lattice_from_doc(THREEFOLD_DOC)
+    for make in (random_proper_element, random_rational_element):
+        for m in (1, 2, 3):
+            e = make(rng, m, 14)
+            built = [to_matrix(e, 15), count_table(spec, 15)]
+            built.append(built[0] @ built[0])
+            bivariate_table(e, 15)
+            assert calls[0] == 0
+            for mat in built:
+                public = CoeffMatrix(mat.rows, [list(row) for row in mat.entries])
+                assert mat == public and public == mat
+                assert hash(mat) == hash(public) and repr(mat) == repr(public)
+                assert [typed(row) for row in mat.entries] == [typed(row) for row in public.entries]
+                assert all(type(v) is int or v.denominator != 1 for row in mat.entries for v in row)
+            calls[0] = 0
 
 
 def test_nonproper_rational_elements_work():

@@ -153,6 +153,21 @@ def test_bivariate_matches_matrix(example1, example2):
             assert expansion[n] == [mat[n, k] for k in range(n + 1)]
 
 
+@pytest.mark.parametrize("kind", sorted(COEFFS))
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_bivariate_rows_are_the_matrix_triangle(kind, m):
+    """Row n of bivariate_table is a list of n + 1 entries, equal in value
+    and type to row n of to_matrix through the diagonal."""
+    rng = random.Random(16 + m)
+    e = exact_element(rng, kind, m, 20)
+    for rows in (1, m + 1, 21):
+        table, mat = bivariate_table(e, rows), to_matrix(e, rows)
+        assert len(table) == rows
+        for n, row in enumerate(table):
+            assert type(row) is list and len(row) == n + 1
+            assert typed(row) == typed(mat.entries[n][: n + 1])
+
+
 def test_bivariate_paper_rows(example1, example2):
     row8 = bivariate_table(example1, 9)[8]
     assert row8[2] == 5 and row8[5] == 4
