@@ -13,7 +13,6 @@ import sys
 
 from . import golden, group, sequences
 from .documents import (
-    DocumentError,
     element_from_doc,
     element_to_json,
     load_element,
@@ -56,12 +55,18 @@ def _positive_int(text: str) -> int:
 
 
 def _read_element(args):
-    order = getattr(args, "order", None)
-    if getattr(args, "g", None) is not None:
-        return element_from_doc({"m": args.m, "g": args.g, "f": args.f or []}, order)
-    if args.path is None:
-        raise DocumentError("give an element file, or --g/--f for an ad-hoc element")
-    return load_element(args.path, order)
+    """The element a verb reads: a document at ``path``, or an ad-hoc one
+    from ``--g`` with its ``--f`` and ``--m``.  Both sources, neither, or
+    ``--f``/``--m`` without ``--g`` are usage errors, never a dropped flag."""
+    adhoc = (args.g, args.f, args.m) != (None, None, None)
+    if args.path is not None:
+        if adhoc:
+            build_parser().error("give an element file or --g/--f/--m, not both")
+        return load_element(args.path, args.order)
+    if args.g is None:
+        build_parser().error("--f and --m need --g" if adhoc else
+                             "give an element file, or --g/--f for an ad-hoc element")
+    return element_from_doc({"m": args.m or 1, "g": args.g, "f": args.f or []}, args.order)
 
 
 def _apply(args) -> None:
@@ -86,11 +91,13 @@ def _interleave(args) -> None:
 
 
 def _lattice(args) -> None:
+    if args.rows is not None and args.left_factors is not None:
+        build_parser().error("lattice: give --rows or --left-factors, not both")
     spec = load_lattice(args.path)
     if args.left_factors is not None:
         _print(format_sequence, left_factors(spec, args.left_factors), "plain")
     else:
-        _print(format_matrix, count_table(spec, args.rows))
+        _print(format_matrix, count_table(spec, args.rows or 10))
 
 
 def _verify_paper(args) -> int:
@@ -108,7 +115,7 @@ def _verify_paper(args) -> int:
 def _add_element_args(p):
     p.add_argument("path", nargs="?", help="ElementDoc JSON path, or - for stdin")
     p.add_argument("--order", type=_positive_int, default=None, help="override truncation order")
-    p.add_argument("--m", type=_positive_int, default=1, help="modulus for ad-hoc elements")
+    p.add_argument("--m", type=_positive_int, default=None, help="modulus for ad-hoc elements (default 1)")
     p.add_argument("--g", default=None, help="ad-hoc g expression")
     p.add_argument("--f", action="append", default=None, help="ad-hoc f expression (repeat m times)")
 
@@ -171,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lattice", help="lattice path counting table / left factors")
     p.add_argument("path", help="LatticeSpec JSON path, or - for stdin")
-    p.add_argument("--rows", type=_positive_int, default=10)
+    p.add_argument("--rows", type=_positive_int, default=None, help="rows of the table (default 10)")
     p.add_argument("--left-factors", type=_positive_int, default=None, metavar="TERMS",
                    help="print this many left-factor counts instead of the table")
     p.set_defaults(run=_lattice)

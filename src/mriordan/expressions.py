@@ -11,13 +11,15 @@ Reserved identifiers: ``x``, ``sqrt``, ``catalan``.  Any other identifier
 must be supplied as a binding at evaluation time.  Parentheses, unary
 minus and calls nest at most MAX_NESTING levels deep.
 
-A sum is evaluated as one coefficient list: each operand that is a
-monomial c*x^k (a product of integers, ``x`` and ``x^k``, divided by
-nonzero constants) is added at x^k without building a series, so a
-polynomial of many terms, as the CLI prints them, costs one series.  Any
-other operand is evaluated as a series and added coefficient by
-coefficient; values, coefficient types and errors are those of pairwise
-evaluation.
+Evaluation is one walk of the tree.  The value of a node is a monomial
+c*x^k (0 <= k <= order), kept as the pair (c, k), or a Series: integers
+and ``x`` are monomials, and so are unary minus, ``^`` by n >= 0, and '*'
+or '/' (by a nonzero constant) of monomials whose result is one.  Every
+other step applies the Series operation, so a monomial is never a value
+whose pairwise evaluation would raise.  A sum is one coefficient list,
+each monomial added at x^k, so a polynomial of many terms, as the CLI
+prints them, costs one series.  Values, coefficient types and errors are
+those of pairwise evaluation.
 """
 
 from __future__ import annotations
@@ -253,45 +255,79 @@ _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operato
 
 def evaluate(node: Node, bindings: Mapping[str, Series], order: int) -> Series:
     """Evaluate to an exact Series of the given order."""
-    if isinstance(node, Num):
-        return Series.constant(node.value, order)
-    if isinstance(node, Var):
-        if node.name == "x":
-            if order < 1:
-                raise EvaluationError("x needs order >= 1", node.pos)
-            return Series.x(order)
-        if node.name in bindings:
-            return bindings[node.name].truncate(order)
-        raise UnknownIdentifier(node.name, node.pos)
-    if isinstance(node, Neg):
-        return -evaluate(node.arg, bindings, order)
-    if isinstance(node, Bin) and node.op in "+-":
-        return _sum(node, bindings, order)
-    if isinstance(node, Bin):
-        # a long product parses to a left-leaning chain; walk it with a loop
-        # so that its length costs no recursion depth.  A sum on the left of
-        # '*' or '/' was parenthesised and is evaluated by _sum.
+    return _as_series(_value(node, bindings, order), order)
+
+
+def _value(node: Node, bindings: Mapping[str, Series], order: int):
+    """The value of node: a monomial ``(c, k)``, c*x^k with 0 <= k <= order,
+    where evaluating node pairwise could not raise, else a Series."""
+    kind = type(node)
+    if kind is Bin:
+        # a long sum or product parses to a left-leaning chain; walk it with
+        # a loop so that its length costs no recursion depth.  A sum on the
+        # left of '*' or '/' was parenthesised and is one value of the chain.
+        ops = "+-" if node.op in "+-" else "*/"
         chain = []
-        while isinstance(node, Bin) and node.op in "*/":
+        while isinstance(node, Bin) and node.op in ops:
             chain.append(node)
             node = node.left
-        acc = evaluate(node, bindings, order)
+        if ops == "+-":
+            # one list of coefficients: a monomial is added at x^k, a series
+            # coefficient by coefficient; the sum has the least order of its
+            # operands, as pairwise sums do
+            coeffs, top = [0] * (order + 1), order
+            for op, operand in [("+", node)] + [(link.op, link.right) for link in reversed(chain)]:
+                value = _value(operand, bindings, order)
+                if type(value) is tuple:
+                    c, k = value
+                    coeffs[k] = _BINARY[op](coeffs[k], c)
+                else:
+                    top = min(top, value.order)
+                    coeffs[: top + 1] = map(_BINARY[op], coeffs[: top + 1], value.coeffs)
+            return Series(coeffs[: top + 1])
+        acc = _value(node, bindings, order)
         for link in reversed(chain):
-            rhs = evaluate(link.right, bindings, order)
+            rhs = _value(link.right, bindings, order)
+            if type(acc) is tuple and type(rhs) is tuple:
+                (c, k), (rc, rk) = acc, rhs
+                if link.op == "*" and k + rk <= order:
+                    acc = c * rc, k + rk
+                    continue
+                if link.op == "/" and not rk and rc:
+                    acc = Fraction(c) / rc, k
+                    continue
             try:
-                acc = _BINARY[link.op](acc, rhs)
+                acc = _BINARY[link.op](_as_series(acc, order), _as_series(rhs, order))
             except MRiordanError as exc:
                 raise EvaluationError(str(exc), link.pos, cause=exc)
         return acc
-    if isinstance(node, Pow):
-        base = evaluate(node.base, bindings, order)
-        if node.exponent < 0 and not base[0]:
+    if kind is Num:
+        # a negative order is refused by Series.constant
+        return (node.value, 0) if order >= 0 else Series.constant(node.value, order)
+    if kind is Pow:
+        base, n = _value(node.base, bindings, order), node.exponent
+        if type(base) is tuple and n >= 0:
+            c, k = base
+            return (c**n, k * n) if k * n <= order else Series.zero(order)
+        base = _as_series(base, order)
+        if n < 0 and not base[0]:
             raise EvaluationError(
                 "negative exponent needs a unit constant term", node.pos
             )
-        return base**node.exponent
-    if isinstance(node, Call):
-        arg = evaluate(node.arg, bindings, order)
+        return base**n
+    if kind is Var:
+        if node.name == "x":
+            if order < 1:
+                raise EvaluationError("x needs order >= 1", node.pos)
+            return 1, 1
+        if node.name in bindings:
+            return bindings[node.name].truncate(order)
+        raise UnknownIdentifier(node.name, node.pos)
+    if kind is Neg:
+        value = _value(node.arg, bindings, order)
+        return (-value[0], value[1]) if type(value) is tuple else -value
+    if kind is Call:
+        arg = _as_series(_value(node.arg, bindings, order), order)
         try:
             if node.func == "catalan":
                 return compose(catalan_series(order), arg)
@@ -301,64 +337,13 @@ def evaluate(node: Node, bindings: Mapping[str, Series], order: int) -> Series:
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def _sum(node: Bin, bindings: Mapping[str, Series], order: int) -> Series:
-    """A chain of '+' and '-' as one list of coefficients: a monomial c*x^k
-    is added at x^k, any other operand is evaluated, left to right, and
-    added coefficient by coefficient.  The sum has the least order of its
-    operands, as pairwise sums do."""
-    chain = []
-    while isinstance(node, Bin) and node.op in "+-":
-        chain.append(node)
-        node = node.left
+def _as_series(value, order: int) -> Series:
+    """A value of _value as a Series: a monomial (c, k) is c at x^k."""
+    if type(value) is not tuple:
+        return value
     coeffs = [0] * (order + 1)
-    top = order
-    for op, operand in [("+", node)] + [(link.op, link.right) for link in reversed(chain)]:
-        term = _monomial(operand, order)
-        if term:
-            c, k = term
-            coeffs[k] = _BINARY[op](coeffs[k], c)
-            continue
-        value = evaluate(operand, bindings, order)
-        top = min(top, value.order)
-        coeffs[: top + 1] = map(_BINARY[op], coeffs[: top + 1], value.coeffs)
-    return Series(coeffs[: top + 1])
-
-
-def _monomial(node: Node, order: int):
-    """``(c, k)`` when node is c*x^k with 0 <= k <= order, built from
-    integers, ``x``, ``x^j`` (j >= 0), unary minus, '*', and '/' by a nonzero
-    constant, so that evaluating it could not raise; None otherwise."""
-    if isinstance(node, Num):
-        return (node.value, 0) if order >= 0 else None
-    if isinstance(node, Var):
-        return (1, 1) if node.name == "x" and order >= 1 else None
-    if isinstance(node, Pow):
-        base, k = node.base, node.exponent
-        if isinstance(base, Var) and base.name == "x" and order >= 1 and 0 <= k <= order:
-            return 1, k
-        return None
-    if isinstance(node, Neg):
-        term = _monomial(node.arg, order)
-        return term and (-term[0], term[1])
-    if not isinstance(node, Bin) or node.op in "+-":
-        return None
-    chain = []  # a long product costs no recursion depth
-    while isinstance(node, Bin) and node.op in "*/":
-        chain.append(node)
-        node = node.left
-    term = _monomial(node, order)
-    for link in reversed(chain):
-        right = term and _monomial(link.right, order)
-        if not right:
-            return None
-        (c, k), (rc, rk) = term, right
-        if link.op == "*" and k + rk <= order:
-            term = c * rc, k + rk
-        elif link.op == "/" and not rk and rc:
-            term = Fraction(c) / rc, k
-        else:
-            return None
-    return term
+    coeffs[value[1]] = value[0]
+    return Series(coeffs)
 
 
 def evaluate_text(text: str, order: int, bindings: Mapping[str, Series] | None = None) -> Series:

@@ -104,8 +104,6 @@ def hankel_transform(seq: Sequence) -> list:
     term n is pivot_n / D^(n+1).  From the first zero pivot on, which
     would need a row exchange, each term is its own determinant."""
     count = (len(seq) + 1) // 2
-    if not count:
-        return []
     nums, den = scale([exact_coeff(seq[i]) for i in range(2 * count - 1)])
     a = [list(nums[i : i + count]) for i in range(count)]
     out = []

@@ -255,14 +255,6 @@ class Series:
             raise TypeError("series exponents must be integers")
         if n < 0:
             return self.recip() ** (-n)
-        cs = self.coeffs
-        if cs.count(0) == self.order:
-            # a monomial c*x^v: its power is c^n placed at x^(v*n), no product
-            v = next(i for i, c in enumerate(cs) if c)
-            out = [0] * len(cs)
-            if v * n < len(cs):
-                out[v * n] = cs[v] ** n
-            return Series(out)
         if n > self.order:
             # past the order the cost of binary powering grows with the
             # exponent's length; these cases have one pass that does not

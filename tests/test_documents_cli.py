@@ -1,7 +1,9 @@
 import io
 import json
+import os
 import random
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -14,6 +16,7 @@ from mriordan.documents import (
     element_from_doc,
     element_to_doc,
     element_to_json,
+    lattice_from_doc,
     load_element,
     load_lattice,
     parse_sequence,
@@ -139,6 +142,14 @@ def test_parse_sequence_formats():
 def test_bad_lattice_doc():
     with pytest.raises(DocumentError):
         load_lattice(FIXTURES / "example1.json")
+    for doc, message in [
+        ([1], "must be a JSON object"),
+        ({"m": 1}, "missing 'rules'"),
+        (dict(LATTICE_DOC, boundary="periodic"), "unsupported boundary 'periodic'"),
+        (dict(LATTICE_DOC, boundary=None), "unsupported boundary None"),
+    ]:
+        with pytest.raises(DocumentError, match=message):
+            lattice_from_doc(doc)
 
 
 @pytest.mark.parametrize("content", [b'{"m": 1,', b"\xff\xfe\xff"])
@@ -344,6 +355,39 @@ def test_cli_out_of_range_flags_exit_2(argv, capsys):
     assert "must be a positive integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["matrix", str(FIXTURES / "example1.json"), "--f", "x", "--rows", "3"],
+    ["matrix", str(FIXTURES / "example1.json"), "--g", "1", "--f", "x", "--rows", "3"],
+    ["invert", str(FIXTURES / "example1.json"), "--m", "2"],
+    ["rowsums", "--f", "x"],
+    ["apply", "--m", "2", "--gf", "1"],
+    ["matrix"],
+    ["lattice", str(FIXTURES / "lattice_threefold.json"), "--rows", "3", "--left-factors", "4"],
+], ids=["path-and-f", "path-and-g", "path-and-m", "f-without-g", "m-without-g", "no-element",
+        "rows-and-left-factors"])
+def test_cli_flags_it_would_drop_exit_2(argv, capsys):
+    """A flag the verb would ignore, or no element to read, is a usage
+    error: nothing printed, and one error line after the usage."""
+    with pytest.raises(SystemExit) as info:
+        run(argv)
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage:")
+    assert [line for line in err.splitlines() if "error:" in line] == err.splitlines()[-1:]
+
+
+def test_console_entry_point():
+    """``python -m mriordan`` runs the CLI: verify-paper passes every
+    fixture, and no verb is a usage error."""
+    env = dict(os.environ, PYTHONPATH=str(FIXTURES.parent / "src"))
+    done = subprocess.run([sys.executable, "-m", "mriordan", "verify-paper"],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 0
+    assert done.stdout.splitlines()[-1] == "25/25 fixtures passed"
+    done = subprocess.run([sys.executable, "-m", "mriordan"], capture_output=True, text=True, env=env)
+    assert done.returncode == 2
+
+
 ADHOC_DOC = {"m": 1, "order": 10, "g": "1/(1-x)", "f": ["x"]}
 LATTICE_DOC = {"m": 1, "rules": [[[1, 1], [1, -2]]]}
 
@@ -379,6 +423,11 @@ LATTICE_DOC = {"m": 1, "rules": [[[1, 1], [1, -2]]]}
     ("matrix", dict(ADHOC_DOC, let=[{"name": "", "expr": "1"}])),
     ("lattice", dict(LATTICE_DOC, rule=[[[1, 1]]])),
     ("lattice", dict(LATTICE_DOC, boundry="standard")),
+    ("matrix", dict(ADHOC_DOC, let=[{"name": "$", "expr": "1"}])),
+    ("lattice", [1]),
+    ("lattice", {"m": 1}),
+    ("lattice", dict(LATTICE_DOC, boundary="periodic")),
+    ("lattice", dict(LATTICE_DOC, boundary=None)),
 ])
 def test_cli_mistyped_document_exits_1(case, capsys, tmp_path):
     """A field of the wrong JSON type or out of range, an unknown key, a let

@@ -76,6 +76,9 @@ def test_syntax_errors_carry_offsets():
     with pytest.raises(ExprSyntaxError, match="unexpected character") as info:
         parse("x^\u00b2")  # a digit, but not a decimal one that int() reads
     assert info.value.offset == 2
+    with pytest.raises(ExprSyntaxError, match="expected '\\)'") as info:
+        parse("sqrt(1+x")
+    assert info.value.offset == 8
 
 
 @pytest.mark.parametrize("text", [
@@ -110,7 +113,8 @@ def test_long_chains_print(op):
 
 
 def test_printer_parenthesises_what_the_grammar_needs():
-    for text in ["(a+b)*c*(d-e)/f-(-g*h)", "(x^2)^3", "(-x)^2", "a-(b-c)", "-x*y"]:
+    for text in ["(a+b)*c*(d-e)/f-(-g*h)", "(x^2)^3", "(-x)^2", "a-(b-c)", "-x*y",
+                 "sqrt(1+x)*catalan(x^3)"]:
         assert to_text(parse(text)) == text
 
 

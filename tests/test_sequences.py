@@ -181,6 +181,7 @@ def test_hankel_catalan():
 def test_hankel_output_length():
     assert len(hankel_transform([1, 2, 3, 4, 5])) == 3
     assert len(hankel_transform([1])) == 1
+    assert hankel_transform([]) == []
 
 
 def test_hankel_example2_slots(example2):

@@ -59,6 +59,7 @@ def test_div_fibonacci():
     assert list(q.coeffs) == [1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233]
     # independent check: q * (1 - x - x^2) = 1 term by term
     assert q * Series.from_poly([1, -1, -1], N) == Series.one(N)
+    assert 2 / Series.from_poly([1, -1, -1], N) == q * 2
 
 
 def test_add_zero_identity():
@@ -69,6 +70,17 @@ def test_add_zero_identity():
 def test_div_by_nonunit_errors():
     with pytest.raises(DivisionByNonUnit):
         Series.one(N) / Series.x(N)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda s: s / 0, ZeroDivisionError, None),
+    (lambda s: s**1.5, TypeError, "exponents must be integers"),
+    (lambda s: s.shift_down(2), DivisionByNonUnit, "valuation < 2"),
+    (lambda s: setattr(s, "coeffs", (1,)), AttributeError, "Series is immutable"),
+], ids=["divide-by-zero", "fractional-power", "shift-down-past-valuation", "assign"])
+def test_series_refuses(call, error, message):
+    with pytest.raises(error, match=message):
+        call(Series([0, 3, 1, 4]))
 
 
 def test_arith_truncates_to_min_order():
