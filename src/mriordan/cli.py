@@ -61,11 +61,11 @@ def _read_element(args):
     adhoc = (args.g, args.f, args.m) != (None, None, None)
     if args.path is not None:
         if adhoc:
-            build_parser().error("give an element file or --g/--f/--m, not both")
+            args.usage_error("give an element file or --g/--f/--m, not both")
         return load_element(args.path, args.order)
     if args.g is None:
-        build_parser().error("--f and --m need --g" if adhoc else
-                             "give an element file, or --g/--f for an ad-hoc element")
+        args.usage_error("--f and --m need --g" if adhoc else
+                         "give an element file, or --g/--f for an ad-hoc element")
     return element_from_doc({"m": args.m or 1, "g": args.g, "f": args.f or []}, args.order)
 
 
@@ -79,7 +79,7 @@ def _apply(args) -> None:
 
 def _product(args) -> None:
     if args.path_a == args.path_b == "-":
-        build_parser().error("product: stdin (-) can be read only once; give a file for one operand")
+        args.usage_error("stdin (-) can be read only once; give a file for one operand")
     _print(element_to_json, group.product(
         load_element(args.path_a, args.order), load_element(args.path_b, args.order)))
 
@@ -92,7 +92,7 @@ def _interleave(args) -> None:
 
 def _lattice(args) -> None:
     if args.rows is not None and args.left_factors is not None:
-        build_parser().error("lattice: give --rows or --left-factors, not both")
+        args.usage_error("give --rows or --left-factors, not both")
     spec = load_lattice(args.path)
     if args.left_factors is not None:
         _print(format_sequence, left_factors(spec, args.left_factors), "plain")
@@ -186,6 +186,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("verify-paper", help="run every built-in golden fixture").set_defaults(
         run=_verify_paper)
 
+    # a handler's usage error prints its own verb's usage and options
+    for p in sub.choices.values():
+        p.set_defaults(usage_error=p.error)
     return parser
 
 

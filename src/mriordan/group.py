@@ -79,9 +79,11 @@ class CoeffMatrix:
     entries in the ``Series`` coefficient representation (any other type is
     a ``TypeError``).  A shape that is not `rows` rows of `rows` entries, or
     a nonzero entry above the diagonal, is an ``InvalidArgument``.  The
-    constructor checks this once, where a matrix enters the package; the
-    package's own builders (``to_matrix``, ``@``, ``count_table``) go
-    through ``_built`` instead."""
+    constructor checks this once, where a matrix enters the package, and
+    finds the stride ``_stride`` (not a field): the gcd d of n - k over the
+    nonzero entries below the diagonal, 0 if none, so entry (n, k) is zero
+    unless d divides n - k.  The package's own builders (``to_matrix``,
+    ``@``, ``count_table``) go through ``_built`` and pass a divisor of d."""
 
     rows: int
     entries: tuple  # tuple of row tuples, each of length `rows`
@@ -94,22 +96,24 @@ class CoeffMatrix:
         object.__setattr__(self, "entries", entries)
         if len(entries) != self.rows:
             raise InvalidArgument(f"expected {self.rows} rows, got {len(entries)}")
+        d = 0
         for n, row in enumerate(entries):
             if len(row) != self.rows:
                 raise InvalidArgument(f"row {n} has {len(row)} entries, expected {self.rows}")
             if any(row[n + 1 :]):
                 raise InvalidArgument(f"row {n} has a nonzero entry above the diagonal")
+            if d != 1:
+                d = gcd(d, *(n - k for k in range(n) if row[k]))
+        object.__setattr__(self, "_stride", d)
 
     @classmethod
-    def _built(cls, rows: int, lists, stride: int | None = None) -> "CoeffMatrix":
+    def _built(cls, rows: int, lists, stride: int) -> "CoeffMatrix":
         """A matrix of rows the package itself built: `rows` lower-triangular
         rows of `rows` entries, already in the coefficient representation,
-        so nothing is checked or normalised.  A known `stride` must divide
-        the gcd that ``_stride`` would scan for (0 only where that is 0)."""
+        so nothing is checked or normalised.  `stride` must divide the gcd
+        the constructor would find (0 only where that is 0)."""
         mat = object.__new__(cls)
-        mat.__dict__.update(rows=rows, entries=tuple(map(tuple, lists)))
-        if stride is not None:
-            mat.__dict__["_stride"] = stride
+        mat.__dict__.update(rows=rows, entries=tuple(map(tuple, lists)), _stride=stride)
         return mat
 
     def __getitem__(self, nk):
@@ -121,21 +125,6 @@ class CoeffMatrix:
 
     def is_integral(self) -> bool:
         return all(v.denominator == 1 for row in self.entries for v in row)
-
-    @cached_property
-    def _stride(self) -> int:
-        """The gcd d of n - k over the nonzero entries below the diagonal (0
-        if there are none): entry (n, k) is zero unless d divides n - k.  A
-        row whose zero count shows no nonzero outside n's class is skipped.
-        ``_built`` stores a divisor of d here when the builder knows one."""
-        d = 0
-        for n, row in enumerate(self.entries):
-            inside = row[n % d : n : d] if d else ()
-            if n - row[:n].count(0) > len(inside) - inside.count(0):
-                d = gcd(d, *(n - k for k in range(n) if row[k]))
-                if d == 1:
-                    break
-        return d
 
     def __matmul__(self, other: "CoeffMatrix") -> "CoeffMatrix":
         # both operands are lower-triangular and zero off the classes

@@ -9,6 +9,7 @@ the recurrence knows nothing about power series.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from operator import add
 from typing import Sequence
 
@@ -90,7 +91,9 @@ def count_table(spec: LatticeSpec, rows: int) -> CoeffMatrix:
     table = list(_padded_rows(spec, rows))
     for lo, row in table:
         del row[:lo], row[rows:]
-    return CoeffMatrix._built(rows, [row for _, row in table])
+    # every path to (n, k) is a sum of steps, so this gcd divides n - k
+    stride = gcd(*(dn - dk for rule in spec.rules for dn, dk in rule))
+    return CoeffMatrix._built(rows, [row for _, row in table], stride)
 
 
 def left_factors(spec: LatticeSpec, terms: int) -> list:

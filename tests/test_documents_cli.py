@@ -363,16 +363,17 @@ def test_cli_out_of_range_flags_exit_2(argv, capsys):
     ["apply", "--m", "2", "--gf", "1"],
     ["matrix"],
     ["lattice", str(FIXTURES / "lattice_threefold.json"), "--rows", "3", "--left-factors", "4"],
+    ["product", "-", "-"],
 ], ids=["path-and-f", "path-and-g", "path-and-m", "f-without-g", "m-without-g", "no-element",
-        "rows-and-left-factors"])
+        "rows-and-left-factors", "stdin-twice"])
 def test_cli_flags_it_would_drop_exit_2(argv, capsys):
     """A flag the verb would ignore, or no element to read, is a usage
-    error: nothing printed, and one error line after the usage."""
+    error: nothing printed, and one error line after the verb's own usage."""
     with pytest.raises(SystemExit) as info:
         run(argv)
     assert info.value.code == 2
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith("usage:")
+    assert out == "" and err.startswith(f"usage: mriordan {argv[0]} ")
     assert [line for line in err.splitlines() if "error:" in line] == err.splitlines()[-1:]
 
 

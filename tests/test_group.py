@@ -41,7 +41,7 @@ from mriordan import (
 )
 from mriordan import group, series
 from mriordan.documents import lattice_from_doc, parse_sequence
-from mriordan.golden import THREEFOLD_DOC
+from mriordan.golden import STEPSET_1UP_2DOWN_DOC, THREEFOLD_DOC
 from mriordan.sequences import bareiss_determinant
 from oracles import (
     inverse_direct,
@@ -373,12 +373,15 @@ def test_strided_matmul_matches_fraction_kernel(case):
     """Operands whose nonzero entries lie on n = k (mod d) for a d of their
     own, including mismatched strides and diagonal-only operands: the
     product matches the Fraction kernel value for value and type for type,
-    and the operands still equal and hash as fresh copies of themselves."""
+    each operand's stride is the exact gcd of n - k over its nonzero
+    entries below the diagonal, and the operands still equal and hash as
+    fresh copies of themselves."""
     size, da, db, va, vb = case
     a, b = _strided(size, da, va), _strided(size, db, vb)
     got, want = a @ b, matmul_direct(a, b)
     assert [typed(row) for row in got.entries] == [typed(row) for row in want.entries]
     for mat in (a, b):
+        assert mat._stride == math.gcd(*(n - k for n in range(size) for k in range(n) if mat[n, k]))
         fresh = CoeffMatrix(mat.rows, mat.entries)
         assert mat == fresh and fresh == mat and hash(mat) == hash(fresh) and repr(mat) == repr(fresh)
 
@@ -523,6 +526,45 @@ def test_builders_cache_a_divisor_of_the_scanned_stride(case):
     got = mat_a @ mat_b
     _cached_stride_divides_the_scan(got)
     for lhs, rhs in ((mat_a, mat_b), (got, mat_a), (mat_b, got)):
+        want = matmul_direct(lhs, rhs)
+        assert [typed(row) for row in (lhs @ rhs).entries] == [typed(row) for row in want.entries]
+
+
+@st.composite
+def lattice_table_pairs(draw):
+    """Two random step sets of one modulus: m = 1..3, dn = 1..2, dk = -4..3
+    and 0-3 steps a class; and a table size of 1..14 rows."""
+    m = draw(st.integers(1, 3))
+    step = st.tuples(st.integers(1, 2), st.integers(-4, 3))
+    specs = [LatticeSpec.from_lists(m, draw(st.lists(st.lists(step, max_size=3), min_size=m, max_size=m)))
+             for _ in range(2)]
+    return *specs, draw(st.integers(1, 14))
+
+
+THREEFOLD = lattice_from_doc(THREEFOLD_DOC)
+UP1_DOWN2 = lattice_from_doc(STEPSET_1UP_2DOWN_DOC)
+DIAGONAL_STEPS = LatticeSpec.from_lists(2, [[(1, 1)], [(1, 1), (2, 2)]])  # stride 0
+NO_STEPS = LatticeSpec.from_lists(1, [[]])
+FAR_STEPS = LatticeSpec.from_lists(2, [[(1, 1), (1, -6)], [(2, 7), (1, 0)]])  # |dk| >= rows
+
+
+@given(lattice_table_pairs())
+@example((THREEFOLD, UP1_DOWN2, 14))
+@example((UP1_DOWN2, UP1_DOWN2, 13))
+@example((DIAGONAL_STEPS, UP1_DOWN2, 9))
+@example((NO_STEPS, THREEFOLD, 5))
+@example((FAR_STEPS, DIAGONAL_STEPS, 5))
+@settings(max_examples=120, deadline=None)
+def test_count_table_stores_a_divisor_of_the_scanned_stride(case):
+    """count_table stores the gcd of dn - dk over its steps as the table is
+    built; it divides the stride a fresh copy finds, and products on it
+    match the Fraction kernel."""
+    spec_t, spec_u, rows = case
+    t, u = count_table(spec_t, rows), count_table(spec_u, rows)
+    assert "_stride" in t.__dict__ and "_stride" in u.__dict__
+    _cached_stride_divides_the_scan(t)
+    _cached_stride_divides_the_scan(u)
+    for lhs, rhs in ((t, t), (t, u)):
         want = matmul_direct(lhs, rhs)
         assert [typed(row) for row in (lhs @ rhs).entries] == [typed(row) for row in want.entries]
 
