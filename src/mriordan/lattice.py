@@ -44,6 +44,13 @@ class LatticeSpec:
         return cls(m, tuple(tuple((dn, dk) for dn, dk in rule) for rule in rules))
 
 
+def _acting_rules(spec: LatticeSpec, rows: int) -> list:
+    """spec.rules without the steps that act in no table of `rows` rows: a
+    step with |dk| >= rows only ever reads outside the triangle (k - dk is
+    below 0, or above n - dn), and one with dn >= rows reads before row 0."""
+    return [[(dn, dk) for dn, dk in rule if dn < rows and -rows < dk < rows] for rule in spec.rules]
+
+
 def _padded_rows(spec: LatticeSpec, rows: int):
     """Yield (lo, row) for each row n < rows of the table t_{n,k}, exact
     integers: t_{n,k} is row[lo + k], and every other entry is 0.
@@ -57,9 +64,7 @@ def _padded_rows(spec: LatticeSpec, rows: int):
     """
     if rows < 1:
         raise InvalidArgument("rows must be >= 1")
-    # a rule with |dk| >= rows only ever reads outside the triangle: k - dk
-    # is below 0, or above n - dn; dropping it keeps both pads below rows
-    rules = [[(dn, dk) for dn, dk in rule if -rows < dk < rows] for rule in spec.rules]
+    rules = _acting_rules(spec, rows)  # so both pads stay below rows
     m, dks = spec.m, [dk for rule in rules for _, dk in rule]
     lo, hi = max([0, *dks]), max([0, *(-dk for dk in dks)])
     depth = max([1, *(dn for rule in rules for dn, _ in rule)])
@@ -88,12 +93,10 @@ def _padded_rows(spec: LatticeSpec, rows: int):
 def count_table(spec: LatticeSpec, rows: int) -> CoeffMatrix:
     """Dynamic-programming fill of t_{n,k}, exact integers, with the pads
     of each row trimmed."""
-    table = list(_padded_rows(spec, rows))
-    for lo, row in table:
-        del row[:lo], row[rows:]
-    # every path to (n, k) is a sum of steps, so this gcd divides n - k
-    stride = gcd(*(dn - dk for rule in spec.rules for dn, dk in rule))
-    return CoeffMatrix._built(rows, [row for _, row in table], stride)
+    table = [row[lo : lo + rows] for lo, row in _padded_rows(spec, rows)]
+    # every path to (n, k) is a sum of acting steps, so this gcd divides n - k
+    stride = gcd(*(dn - dk for rule in _acting_rules(spec, rows) for dn, dk in rule))
+    return CoeffMatrix._built(rows, table, stride)
 
 
 def left_factors(spec: LatticeSpec, terms: int) -> list:

@@ -11,10 +11,11 @@ Every coefficient is an ``int`` or a ``Fraction`` whose denominator is not
 on integers only: a series is also its integer numerators over one common
 denominator (see :meth:`Series.scaled`), so a rational product is one int
 convolution and one division per output coefficient, not a gcd per term.
-Every such convolution is one call of ``_convolve``, which packs two dense
+Every such convolution is one call of ``_convolve``, which packs two
 operands of small coefficients into one integer each and multiplies once
-(Kronecker substitution), and runs the schoolbook loop on sparse or wide
-ones.  ``*``, ``recip``, the Miller power recurrence (``^`` of a unit
+(Kronecker substitution) when the schoolbook loop would multiply at least
+eight pairs of nonzero terms per output coefficient, and runs the loop
+otherwise.  ``*``, ``recip``, the Miller power recurrence (``^`` of a unit
 base, ``nth_root_unit``) and ``compose_many`` first find the sublattice
 x^v (x^s)^j that their operands occupy (``_lattice``) and run on the
 coefficients there, so a series in x^3, as the paper writes g, costs a
@@ -209,11 +210,8 @@ class Series:
         a, da = self.scaled()
         b, db = other.scaled()
         (va, sa), (vb, sb) = _lattice(a), _lattice(b)
-        s = gcd(sa, sb)
-        if s == 1:
-            return Series._over(_convolve(a, b, n), da * db)
-        v, s = va + vb, s or n + 1  # two monomials make one
-        conv = _convolve(a[va::s], b[vb::s], (n - v) // s) if v <= n else []
+        v, s = va + vb, gcd(sa, sb) or n + 1  # two monomials make one
+        conv = _convolve(a[va::s], b[vb::s], (n - v) // s)
         return Series._over(_spread(conv, s, n + 1, v), da * db)
 
     __rmul__ = __mul__
@@ -346,26 +344,24 @@ def _extend(o: list, den: int, num: int, div: int) -> tuple:
     return o, grown
 
 
-# Kronecker substitution is taken when each operand has at least this many
-# nonzero coefficients, and two thirds of its coefficients or more, and a
-# slot needs at most this many bits; the bounds were measured on the grid
-# of orders and moduli and on aerated series (see README).
-_PACK_MIN_NONZERO = 10
+# Kronecker substitution is taken when the loop would multiply at least
+# _PACK_WORK pairs of nonzero terms per output coefficient, and a slot needs
+# at most _PACK_MAX_BITS; both bounds were measured on the grid (see README).
+_PACK_WORK = 8
 _PACK_MAX_BITS = 256
 
 
 def _convolve(a: Sequence[int], b: Sequence[int], n: int) -> list:
-    """Coefficients 0..n of the product of two integer coefficient
-    sequences.  Two dense operands of small coefficients are each packed
-    into one integer of w-bit slots, wide enough for any coefficient of the
-    product, and multiplied once (Kronecker substitution).  A sparse
-    operand (an aerated series, say), or a slot wider than the cap (as for
-    the reversion's powers, whose largest coefficient is far wider than
-    most), takes the schoolbook loop, which skips zero terms."""
-    if n >= _PACK_MIN_NONZERO - 1:
+    """Coefficients 0..n (none for n < 0) of the product of two integer
+    coefficient sequences.  Operands with enough work for the loop are each
+    packed into one integer of w-bit slots, wide enough for any coefficient
+    of the product, and multiplied once (Kronecker substitution).  Short or
+    sparse operands, or a slot wider than the cap (as for the reversion's
+    powers, whose largest coefficient is far wider than most), take the
+    schoolbook loop, which skips zero terms."""
+    if n + 1 >= _PACK_WORK:
         a, b = a[: n + 1], b[: n + 1]
-        nonzero = min(len(a) - a.count(0), len(b) - b.count(0))
-        if nonzero >= _PACK_MIN_NONZERO and 3 * nonzero >= 2 * (n + 1):
+        if (len(a) - a.count(0)) * (len(b) - b.count(0)) >= _PACK_WORK * (n + 1):
             # |product coefficient| <= min(len) * max|a| * max|b| < 2^(w-1)
             w = max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
             w += min(len(a), len(b)).bit_length() + 1
@@ -505,11 +501,11 @@ def compose_reverted(outers: Sequence[Series], f: Series) -> list:
         steps = [(dc, dh)] + [
             _reduced(_convolve(dc, p, nh - 1), dh * dp) for p, dp in baby[1 : min(k, nh + 1)]
         ]
-        vals = [Fraction(c[0], dh)]
+        vals = [exact_ratio(c[0], dh)]
         for j in range(1, nh + 1):
             (hb, db), (g, dg) = steps[j % k], giant[j // k]
-            vals.append(Fraction(sum(map(mul, hb[:j], g[j - 1 :: -1])), j * db * dg))
-        out.append(Series._over(*scale(vals)))
+            vals.append(exact_ratio(sum(map(mul, hb[:j], g[j - 1 :: -1])), j * db * dg))
+        out.append(Series(vals))
     return out
 
 

@@ -165,6 +165,16 @@ def test_count_table_matches_the_entry_by_entry_fill(spec, rows):
     assert left_factors(spec, rows) == want.row_sums()
 
 
+def test_a_step_that_never_acts_leaves_the_stride():
+    """(1, -100) reads outside a 61-row triangle, so it keeps neither the
+    table nor its stride 3 from up1down2's."""
+    spec = up1_down2()
+    wider = LatticeSpec(spec.m, ((*spec.rules[0], (1, -100)),))
+    got, want = count_table(wider, 61), count_table(spec, 61)
+    assert got == want
+    assert got._stride == want._stride == 3
+
+
 @pytest.mark.parametrize("spec", [threefold, up1_down2])
 @pytest.mark.parametrize("rows", [1, 50, 120])
 def test_left_factors_build_no_table(monkeypatch, spec, rows):

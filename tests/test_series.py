@@ -301,6 +301,21 @@ def test_mul_matches_fraction_kernel(a, b):
     assert typed((sa * sb).coeffs) == typed(series_mul_direct(sa, sb).coeffs)
 
 
+@pytest.mark.parametrize("a, b", [
+    # x^7 * x^8 at order 13: the first nonzero index of the product is past the order
+    ([0] * 7 + [1] + [0] * 6, [0] * 8 + [1] + [0] * 5),
+    # two monomials
+    ([0, 0, Fraction(1, 2)] + [0] * 10, [0, 0, 0, -4] + [0] * 9),
+    ([0] * 3 + [6] + [0] * 9, [0] * 13 + [Fraction(-2, 3)]),
+    # two dense series from x^1 and from x^2
+    ([0] + list(range(1, 13)), [0, 0] + [Fraction(1, k) for k in range(1, 12)]),
+])
+def test_mul_on_the_sublattice_matches_the_fraction_kernel(a, b):
+    sa, sb = Series(a), Series(b)
+    assert typed((sa * sb).coeffs) == typed(series_mul_direct(sa, sb).coeffs)
+    assert typed((sb * sa).coeffs) == typed(series_mul_direct(sb, sa).coeffs)
+
+
 @given(leading_coeffs, exact_lists(max_size=11))
 @settings(max_examples=100, deadline=None)
 def test_recip_matches_fraction_kernel(c0, tail):
@@ -523,10 +538,17 @@ def convolution_operands(draw):
 
 
 @given(convolution_operands())
-@example(([3] * 10, [1] * 9 + [0], 9))  # 9 nonzeros: the loop
-@example(([3] * 10, [-1] * 10, 9))  # 10 nonzeros: packed
-@example(([2] * 16, [0, 0, 5, 0, 0, 5, 0, 0] + [5] * 8, 15))  # 10 nonzeros of 16: the loop
-@example(([2] * 16, [0, 0, 5, 0, 0, 5, 0, 5] + [5] * 8, 15))  # 11 nonzeros of 16: packed
+# nonzero(a) * nonzero(b) against 8 (n + 1): packed from 8 (n + 1) on
+@example(([3] * 10, [1] * 9 + [0], 9))  # 10 * 9 = 90 of 80: packed
+@example(([3] * 10, [-1] * 10, 9))  # 100 of 80: packed
+@example(([2] * 16, [0, 0, 5, 0, 0, 5, 0, 0] + [5] * 8, 15))  # 16 * 10 = 160 of 128: packed
+@example(([2] * 16, [0, 0, 5, 0, 0, 5, 0, 5] + [5] * 8, 15))  # 176 of 128: packed
+@example(([1] * 7 + [0], [-2] * 8, 7))  # 7 * 8 = 56 of 64, the most below it at n = 7: the loop
+@example(([1] * 8, [-2] * 8, 7))  # 64 of 64: packed
+@example(([1] * 9 + [0] * 7, [3] * 14 + [0, 0], 15))  # 9 * 14 = 126 of 128, the most below it: the loop
+@example(([1] * 8 + [0] * 8, [-3] * 16, 15))  # 8 * 16 = 128 of 128: packed
+@example(([0] * 8 + [5] * 9, [0, 0] + [-1] * 15, 16))  # 9 * 15 = 135 = 8 * 17 - 1: the loop
+@example(([0] * 9 + [5] * 8, [-1] * 17, 16))  # 8 * 17 = 136: packed
 @example(([2**126 - 1] * 15, [2**125 - 1] * 15, 14))  # slot of 256 bits: packed
 @example(([2**126 - 1] * 15, [-(2**126 - 1)] * 15, 14))  # 257 bits: the loop
 @example(([-(2**125 - 1)] * 15, [2**126 - 1] * 14 + [-1], 14))  # negative top, 256 bits
@@ -539,6 +561,27 @@ def test_convolve_matches_the_schoolbook_definition(operands):
     got = series._convolve(a, b, n)
     assert got == convolve_direct(a, b, n)
     assert all(type(c) is int for c in got)
+
+
+@pytest.mark.parametrize("a, b, packed", [
+    # 20 * 20 = 400 pairs of nonzero terms for 40 slots: packed, at half density
+    ([3, 0] * 20, [0, -7] * 20, True),
+    # 1 + t against a dense operand: 2 * 40 pairs, the loop
+    ([1, 1] + [0] * 38, [5] * 40, False),
+    # dense, but a slot of 125 + 125 + 6 + 1 = 257 bits: the loop
+    ([2**125 - 1] * 40, [-(2**124)] * 40, False),
+])
+def test_convolve_packs_by_the_work_of_the_loop(monkeypatch, a, b, packed):
+    calls = [0]
+    pack = series._pack
+
+    def counted(*args):
+        calls[0] += 1
+        return pack(*args)
+
+    monkeypatch.setattr(series, "_pack", counted)
+    assert series._convolve(a, b, 39) == convolve_direct(a, b, 39)
+    assert calls[0] == (2 if packed else 0)
 
 
 # -- kernels on the sublattice a series occupies ---------------------------
