@@ -15,8 +15,8 @@ Every such convolution is one call of ``_convolve``, which packs two
 operands of small coefficients into one integer each and multiplies once
 (Kronecker substitution) when the schoolbook loop would multiply at least
 eight pairs of nonzero terms per output coefficient, and runs the loop
-otherwise.  ``*``, ``recip``, the Miller power recurrence (``^`` of a unit
-base, ``nth_root_unit``) and ``compose_many`` first find the sublattice
+otherwise.  ``*``, ``recip``, the Miller power recurrence (every ``^``,
+and ``nth_root_unit``) and ``compose_many`` first find the sublattice
 x^v (x^s)^j that their operands occupy (``_lattice``) and run on the
 coefficients there, so a series in x^3, as the paper writes g, costs a
 third of the coefficients and a ninth of the O(N^2) work; a series dense
@@ -204,7 +204,8 @@ class Series:
     def __mul__(self, other) -> "Series":
         """x^va A(x^sa) * x^vb B(x^sb) = x^(va+vb) (A B)(x^s), s = gcd(sa, sb):
         one convolution of the operands' numerators on that sublattice."""
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Series):
+            other = exact_coeff(other)
             return Series([c * other for c in self.coeffs])
         n = min(self.order, other.order)
         a, da = self.scaled()
@@ -229,45 +230,40 @@ class Series:
             raise DivisionByNonUnit("reciprocal of a series with zero constant term")
         s = _lattice(full)[1] or len(full)  # a constant: its one coefficient
         u = full[::s]
+        terms = [(k, uk) for k, uk in enumerate(u) if k and uk]
         o, den = _extend([], 1, d, c)  # [x^0](1/s) = d/c
         for n in range(1, len(u)):
             t = 0
-            for k in range(1, n + 1):
-                if u[k]:
-                    t += u[k] * o[n - k]
+            for k, uk in terms:
+                if k > n:
+                    break
+                t += uk * o[n - k]
             o, den = _extend(o, den, -t, c)
         return Series._over(_spread(o, s, len(full)), den)
 
     def __truediv__(self, other) -> "Series":
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                raise ZeroDivisionError
-            return Series([Fraction(c, other) for c in self.coeffs])
+        if not isinstance(other, Series):
+            return self * Fraction(1, exact_coeff(other))
         return self * other.recip()
 
     def __rtruediv__(self, other) -> "Series":
         return _coerce(other, self.order) / self
 
     def __pow__(self, n: int) -> "Series":
+        """s^n = x^(v n) w^n for s = x^v w, w_0 != 0: one ``_power`` call."""
         if not isinstance(n, int):
             raise TypeError("series exponents must be integers")
+        if self.coeffs[0]:
+            return _power(self, n, 1)
         if n < 0:
-            return self.recip() ** (-n)
-        if n > self.order:
-            # past the order the cost of binary powering grows with the
-            # exponent's length; these cases have one pass that does not
-            if not self.coeffs[0]:
-                return Series.zero(self.order)
-            if self.coeffs[0] in (1, -1):
-                return _power(self, n, 1)
-        result = Series.one(self.order)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+            raise DivisionByNonUnit("reciprocal of a series with zero constant term")
+        if not n:
+            return Series.one(self.order)
+        v = next((i for i, c in enumerate(self.coeffs) if c), self.order + 1)
+        if v * n > self.order:
+            return Series.zero(self.order)
+        w = Series(self.coeffs[v : self.order + 1 - v * (n - 1)])  # through x^(order - v n)
+        return _power(w, n, 1).shift_up(v * n)
 
     # -- shifts --------------------------------------------------------
 
@@ -519,7 +515,7 @@ def nth_root_unit(u: Series, m: int) -> Series:
 
 
 def _power(u: Series, p: int, q: int) -> Series:
-    """v = u^(p/q) for u_0 = +-1 (u_0 = 1 when q > 1), by J. C. P. Miller's
+    """v = u^(p/q) for u_0 != 0 (u_0 = 1 when q > 1), by J. C. P. Miller's
     power recurrence (Knuth, TAOCP vol. 2, 4.7), O(N^2) whatever the size
     of p: q*n*u_0*v_n = sum_{k=1..n} ((p+q)*k - q*n) * u_k * v_{n-k}, run
     like ``recip`` on the integer numerators a of u = a/d, in t = x^s when u
@@ -529,12 +525,14 @@ def _power(u: Series, p: int, q: int) -> Series:
     s = _lattice(full)[1] or len(full)
     a = full[::s]
     c = a[0]
-    o, den = [(c // d) ** (p % 2)], 1  # u_0^p, as u_0 is +-1
+    terms = [(k, ak) for k, ak in enumerate(a) if k and ak]
+    o, den = _extend([], 1, *(Fraction(c, d) ** p).as_integer_ratio())  # u_0^p, 1 when q > 1
     for n in range(1, len(a)):
         t = 0
-        for k in range(1, n + 1):
-            if a[k]:
-                t += ((p + q) * k - q * n) * a[k] * o[n - k]
+        for k, ak in terms:
+            if k > n:
+                break
+            t += ((p + q) * k - q * n) * ak * o[n - k]
         o, den = _extend(o, den, t, q * n * c)
     return Series._over(_spread(o, s, len(full)), den)
 

@@ -77,10 +77,27 @@ def test_div_by_nonunit_errors():
     (lambda s: s**1.5, TypeError, "exponents must be integers"),
     (lambda s: s.shift_down(2), DivisionByNonUnit, "valuation < 2"),
     (lambda s: setattr(s, "coeffs", (1,)), AttributeError, "Series is immutable"),
-], ids=["divide-by-zero", "fractional-power", "shift-down-past-valuation", "assign"])
+    (lambda s: s * 0.5, TypeError, "must be int or Fraction, got float"),
+    (lambda s: 0.5 * s, TypeError, "must be int or Fraction, got float"),
+    (lambda s: s / 0.5, TypeError, "must be int or Fraction, got float"),
+    (lambda s: s * None, TypeError, "must be int or Fraction, got NoneType"),
+    (lambda s: s * True, TypeError, "must be int or Fraction, got bool"),
+    (lambda s: s / Decimal(2), TypeError, "must be int or Fraction, got Decimal"),
+], ids=["divide-by-zero", "fractional-power", "shift-down-past-valuation", "assign",
+        "times-float", "float-times", "divide-by-float", "times-none", "times-bool", "divide-by-decimal"])
 def test_series_refuses(call, error, message):
     with pytest.raises(error, match=message):
         call(Series([0, 3, 1, 4]))
+
+
+def test_scalar_product_and_quotient_keep_exact_coefficients():
+    """A scalar is an exact coefficient, as for + and -; an int or a
+    Fraction with denominator 1 scales to ints."""
+    s = Series([0, 3, 1, Fraction(1, 2)])
+    for got in (s * 2, 2 * s, s * Fraction(2, 1), Fraction(2, 1) * s):
+        assert typed(got.coeffs) == typed([0, 6, 2, 1])
+    assert typed((s / 2).coeffs) == typed([0, Fraction(3, 2), Fraction(1, 2), Fraction(1, 4)])
+    assert typed((s * Fraction(2, 3)).coeffs) == typed([0, 2, Fraction(2, 3), Fraction(1, 3)])
 
 
 def test_arith_truncates_to_min_order():
@@ -422,18 +439,68 @@ def test_pow_exponent_beyond_the_order_costs_no_more():
         (-1) ** n * math.comb(k, n) for n in range(61)
     ]
     assert Series.from_poly([0, 1], 60) ** k == Series.zero(60)
+    k = 10**5  # a non-unit constant: one recurrence on coefficients of about k bits
+    got = Series.from_poly([2, 1], 60) ** k
+    assert list(got.coeffs) == [math.comb(k, n) * 2 ** (k - n) for n in range(61)]
 
 
-@pytest.mark.parametrize("base", [[1, 1, -2], [-1, 3, 0, 1], [1, Fraction(1, 2), -3], [0, 2, 1]])
+@pytest.mark.parametrize("base", [
+    [1, 1, -2], [-1, 3, 0, 1], [1, Fraction(1, 2), -3], [0, 2, 1],
+    [2, 1, -1], [Fraction(-3, 2), 0, 1],
+    # x^2 w at orders 13 and 14: 2k = 12 and 14 fall just inside or at the
+    # order, 2k = 14 and 18 past it
+    [0, 0, 3, 1] + [0] * 9 + [-1], [0, 0, Fraction(1, 2), 0, 1] + [0] * 10,
+])
 @pytest.mark.parametrize("k", [6, 7, 9])
 def test_pow_beyond_the_order_matches_repeated_products(base, k):
-    s = Series.from_poly(base, 5)
-    want = Series.one(5)
+    """Every power, of a unit, non-unit or zero constant term, is one Miller
+    recurrence, and agrees with k repeated Fraction products."""
+    order = max(5, len(base) - 1)
+    s = Series.from_poly(base, order)
+    want = Series.one(order)
     for _ in range(k):
         want = series_mul_direct(want, s)
     assert typed((s**k).coeffs) == typed(want.coeffs)
     if s[0]:
         assert typed((s**-k).coeffs) == typed(recip_direct(want).coeffs)
+    else:
+        with pytest.raises(DivisionByNonUnit):
+            s**-k
+
+
+def test_pow_makes_no_product(monkeypatch):
+    """^ runs the Miller recurrence for every base and exponent: no
+    convolution, whether the exponent passes the order or not."""
+    calls = [0]
+    convolve = series._convolve
+
+    def counted(*args):
+        calls[0] += 1
+        return convolve(*args)
+
+    monkeypatch.setattr(series, "_convolve", counted)
+    assert list((Series.from_poly([2, 1], 10) ** 40).coeffs) == [
+        math.comb(40, n) * 2 ** (40 - n) for n in range(11)
+    ]
+    assert list((Series.from_poly([1, 1, 1], 6) ** 3).coeffs) == [1, 3, 6, 7, 6, 3, 1]
+    got = Series.from_poly([0, 1, 1], 30) ** 5  # x^5 (1+x)^5
+    assert list(got.coeffs) == [0] * 5 + [math.comb(5, n) for n in range(6)] + [0] * 20
+    assert calls[0] == 0
+
+
+@pytest.mark.parametrize("coeffs", [
+    {0: 1, 4: 2, 7: 3, 14: 5},  # a dense lattice (gcd 1), mostly zeros
+    {0: 1, 5: Fraction(1, 2), 9: -3, 19: Fraction(2, 7)},
+    {0: -2, 3: 1, 11: 4},
+])
+def test_recip_and_roots_of_sparse_operands_match_the_fraction_oracles(coeffs):
+    s = Series([coeffs.get(i, 0) for i in range(21)])
+    assert typed(s.recip().coeffs) == typed(recip_direct(s).coeffs)
+    for k in (-3, 2, 5):
+        assert typed((s**k).coeffs) == typed(power_direct(s, k).coeffs)
+    if s[0] == 1:
+        for m in (2, 3):
+            assert typed(nth_root_unit(s, m).coeffs) == typed(power_direct(s, 1, m).coeffs)
 
 
 @pytest.mark.parametrize("call", [
@@ -487,7 +554,7 @@ def test_monomial_power_matches_repeated_products(c, v, n):
 
 
 def test_monomial_power_makes_no_product(monkeypatch):
-    """x^60 at order 60 is placed directly, not found by binary powering."""
+    """x^60 at order 60 is a monomial of the evaluator, placed directly."""
     calls = [0]
     convolve = series._convolve
 
