@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import chain
 from math import gcd, prod
 from operator import mul
 from typing import Sequence
@@ -28,7 +29,7 @@ from .errors import (
     OrderTooSmall,
 )
 from .series import Series, aerate, compose, compose_many, compose_reverted, compress
-from .series import _reduced, exact_coeff, exact_ratio, scale
+from .series import exact_coeff, exact_ratio, scale
 
 
 @dataclass(frozen=True)
@@ -244,21 +245,20 @@ def to_matrix(e: MRiordanElement, rows: int) -> CoeffMatrix:
 def _matrix_rows(e: MRiordanElement, rows: int) -> list:
     """The element's matrix as `rows` list rows.  Column k is x^k C_k(x^m),
     where C_0 = ghat and C_k = C_(k-1) * fhat_((k-1) mod m + 1) is needed
-    only through t-order (rows-1-k)//m.  The chain runs on integer
-    numerators over one reduced denominator, so the only exact coefficients
-    made are the entries written."""
+    only through t-order (rows-1-k)//m.  The chain is one
+    ``series._product_chain`` on integer numerators over one reduced
+    denominator, so the only exact coefficients made are the entries
+    written."""
     if rows < 1:
         raise InvalidArgument("rows must be >= 1")
     if rows > e.order + 1:
         raise OrderTooSmall(f"{rows} rows need order >= {rows - 1}, have {e.order}")
     m = e.m
-    fhats = [fh.scaled() for fh in e.fhats]
     entries = [[0] * rows for _ in range(rows)]
-    nums, den = e.ghat.scaled()
-    for k in range(rows):
-        if k:
-            f, df = fhats[(k - 1) % m]
-            nums, den = _reduced(series._convolve(nums, f, (rows - 1 - k) // m), den * df)
+    start = e.ghat.scaled()
+    sizes = [(rows - 1 - k) // m + 1 for k in range(1, rows)]
+    columns = series._product_chain(start, [fh.scaled() for fh in e.fhats], sizes)
+    for k, (nums, den) in enumerate(chain([start], columns)):
         values = nums if den == 1 else (exact_ratio(v, den) for v in nums)
         for row, c in zip(entries[k::m], values):
             row[k] = c

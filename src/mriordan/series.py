@@ -11,12 +11,18 @@ Every coefficient is an ``int`` or a ``Fraction`` whose denominator is not
 on integers only: a series is also its integer numerators over one common
 denominator (see :meth:`Series.scaled`), so a rational product is one int
 convolution and one division per output coefficient, not a gcd per term.
-Every such convolution is one call of ``_convolve``, which packs two
+A one-shot convolution is one call of ``_convolve``, which packs two
 operands of small coefficients into one integer each and multiplies once
 (Kronecker substitution) when the schoolbook loop would multiply at least
 eight pairs of nonzero terms per output coefficient, and runs the loop
-otherwise.  ``*``, ``recip``, the Miller power recurrence (every ``^``,
-and ``nth_root_unit``) and ``compose_many`` first find the sublattice
+otherwise.  A chain of products, each the next one's operand (the power
+tables of both substitution passes, and the matrix columns of
+``group.to_matrix``), is one ``_product_chain``: it keeps the running
+product packed in signed 64-bit slots between steps, packing and reading
+slots through ``struct`` in O(n), while every slot provably fits, and
+hands the rest of the chain to ``_convolve`` once one does not.  ``*``,
+``recip``, the Miller power recurrence (every ``^``, and
+``nth_root_unit``) and ``compose_many`` first find the sublattice
 x^v (x^s)^j that their operands occupy (``_lattice``) and run on the
 coefficients there, so a series in x^3, as the paper writes g, costs a
 third of the coefficients and a ninth of the O(N^2) work; a series dense
@@ -29,6 +35,7 @@ yield a float.
 
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, isqrt, lcm
@@ -357,7 +364,7 @@ def _convolve(a: Sequence[int], b: Sequence[int], n: int) -> list:
     schoolbook loop, which skips zero terms."""
     if n + 1 >= _PACK_WORK:
         a, b = a[: n + 1], b[: n + 1]
-        if (len(a) - a.count(0)) * (len(b) - b.count(0)) >= _PACK_WORK * (n + 1):
+        if _worth_packing(a, b, n):
             # |product coefficient| <= min(len) * max|a| * max|b| < 2^(w-1)
             w = max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
             w += min(len(a), len(b)).bit_length() + 1
@@ -385,6 +392,13 @@ def _convolve(a: Sequence[int], b: Sequence[int], n: int) -> list:
     return out
 
 
+def _worth_packing(a: Sequence[int], b: Sequence[int], n: int) -> bool:
+    """The work rule: the loop on a and b (each already cut to n + 1
+    coefficients) would multiply at least _PACK_WORK pairs of nonzero
+    terms per output coefficient."""
+    return (len(a) - a.count(0)) * (len(b) - b.count(0)) >= _PACK_WORK * (n + 1)
+
+
 def _pack(a: Sequence[int], w: int) -> int:
     """The integer sum of a[i] * 2^(w*i): a in signed slots of w bits."""
     p = 0
@@ -393,15 +407,66 @@ def _pack(a: Sequence[int], w: int) -> int:
     return p
 
 
+def _tops(n: int) -> int:
+    """The integer with 2^63 in each of n 64-bit slots."""
+    return int.from_bytes(b"\0\0\0\0\0\0\0\x80" * n, "little")
+
+
+def _pack64(a: Sequence[int]) -> int:
+    """The integer sum of a[i] * 2^(64*i) for |a[i]| < 2^63, in O(n): the
+    slots as two's complement bytes, each read back signed by flipping its
+    top bit and subtracting 2^63."""
+    tops = _tops(len(a))
+    return (int.from_bytes(struct.pack(f"<{len(a)}q", *a), "little") ^ tops) - tops
+
+
+def _product_chain(start: tuple, factors: Sequence[tuple], sizes: Sequence[int]):
+    """Yield the truncated products start*f_0, start*f_0*f_1, ..., with f_k
+    = factors[k % len(factors)], the k-th through sizes[k] coefficients
+    (sizes must not grow), each as reduced ``(nums, den)``: one integer
+    product and one reduction a step.
+
+    While it can, the chain keeps its running product packed, as the one
+    integer p = sum nums[i] * 2^(64*i) (Kronecker substitution), and a step
+    is p * F mod 2^(64*size), F the packed factor.  A slot is exact when
+    bits(max|nums|) + bits(sum|f|) < 64, since every product coefficient is
+    at most max|nums| * sum|f| in size; only the values handed out are
+    unpacked, and a gcd that reduces them divides p too.  A step that fails
+    that bound, or on which ``_convolve``'s work rule would take the loop,
+    is a ``_convolve``, and so is every later one: the lengths only shrink
+    and the coefficients only widen."""
+    nums, den = start
+    top = sizes[0] if sizes else 0
+    widths = [sum(map(abs, f[:top])).bit_length() for f, _ in factors]  # bits(sum|f|)
+    p, packed, k = None, {}, 0  # the running product, and F by factor
+    while k < len(sizes) and sizes[k] >= _PACK_WORK:  # shorter never passes the work rule
+        size, i = sizes[k], k % len(factors)
+        f, df = factors[i]
+        a = nums[:size]
+        if max(map(abs, a)).bit_length() + widths[i] > 63 or not _worth_packing(a, f[:size], size - 1):
+            break
+        if i not in packed:
+            packed[i] = _pack64(f[:top])
+        tops = _tops(size)
+        r = ((_pack64(a) if p is None else p) * packed[i] + tops) & ((1 << 64 * size) - 1)
+        p = r - tops
+        nums = struct.unpack(f"<{size}q", (r ^ tops).to_bytes(8 * size, "little"))
+        g = gcd(den * df, *nums)
+        if g > 1:
+            nums, p = [v // g for v in nums], p // g
+        den = den * df // g
+        yield nums, den
+        k += 1
+    for k in range(k, len(sizes)):
+        f, df = factors[k % len(factors)]
+        nums, den = _reduced(_convolve(nums, f, sizes[k] - 1), den * df)
+        yield nums, den
+
+
 def _powers(base: tuple, count: int, n: int) -> list:
     """s^0..s^count through x^n, each as (nums, den), for s = nums/den
-    given as `base`: one integer convolution and one reduction a power."""
-    b, d = base
-    out = [([1] + [0] * n, 1), base]
-    for _ in range(1, count):
-        p, dp = out[-1]
-        out.append(_reduced(_convolve(p, b, n), dp * d))
-    return out
+    given as `base`: one ``_product_chain`` of count - 1 steps."""
+    return [([1] + [0] * n, 1), base, *_product_chain(base, [base], [n + 1] * (count - 1))]
 
 
 def compose(outer: Series, inner: Series) -> Series:
@@ -526,7 +591,8 @@ def _power(u: Series, p: int, q: int) -> Series:
     a = full[::s]
     c = a[0]
     terms = [(k, ak) for k, ak in enumerate(a) if k and ak]
-    o, den = _extend([], 1, *(Fraction(c, d) ** p).as_integer_ratio())  # u_0^p, 1 when q > 1
+    num, div = (c, d) if p >= 0 else (d, c)
+    o, den = _extend([], 1, num ** abs(p), div ** abs(p))  # u_0^p, 1 when q > 1
     for n in range(1, len(a)):
         t = 0
         for k, ak in terms:

@@ -48,6 +48,7 @@ from oracles import (
     matmul_direct,
     product_direct,
     product_via_root,
+    series_mul_direct,
     step_product,
     step_series_root,
 )
@@ -643,28 +644,52 @@ def test_engines_agree_below_m_and_where_m_does_not_divide(make, m):
             assert [typed(s.coeffs) for s in (got.g, *got.f)] == [typed(s.coeffs) for s in (want.g, *want.f)]
 
 
+def count_products(monkeypatch) -> list:
+    """Record each product of numerators once, by its number of
+    coefficients: a ``series._convolve`` call made outside a product chain,
+    or one step of a ``series._product_chain``, packed or not."""
+    sizes, inside = [], [False]
+    convolve, product_chain = series._convolve, series._product_chain
+
+    def counted_convolve(a, b, n):
+        if not inside[0]:
+            sizes.append(n + 1)
+        return convolve(a, b, n)
+
+    def counted_chain(*args):
+        steps = product_chain(*args)
+        while True:
+            inside[0] = True
+            try:
+                nums, den = next(steps)
+            except StopIteration:
+                return
+            finally:
+                inside[0] = False
+            sizes.append(len(nums))
+            yield nums, den
+
+    monkeypatch.setattr(series, "_convolve", counted_convolve)
+    monkeypatch.setattr(series, "_product_chain", counted_chain)
+    return sizes
+
+
 @pytest.mark.parametrize("m, order", [(1, 144), (2, 288), (4, 288), (3, 100)])
 def test_product_and_inverse_convolutions_scale_with_the_root_of_the_order(monkeypatch, m, order):
     """product shares the powers of the step series across its m+1
     substitutions (about (m+2)*sqrt(n) series products, not (m+1)*n), and
     inverse builds the powers of t/what once (fewer than n products, not
-    (m+2)*n).  Counts, not times, so the bound does not depend on the host."""
+    (m+2)*n).  A product is a _convolve call or a step of a product chain.
+    Counts, not times, so the bound does not depend on the host."""
     rng = random.Random(m)
     a, b = random_proper_element(rng, m, order), random_proper_element(rng, m, order)
     n = a.what.order
-    calls = [0]
-    convolve = series._convolve
-
-    def counted(*args):
-        calls[0] += 1
-        return convolve(*args)
-
-    monkeypatch.setattr(series, "_convolve", counted)
+    products = count_products(monkeypatch)
     product(a, b)
-    assert 0 < calls[0] <= 3 * (m + 2) * math.isqrt(n + 1)
-    calls[0] = 0
+    assert 0 < len(products) <= 3 * (m + 2) * math.isqrt(n + 1)
+    products.clear()
     inverse(a)
-    assert 0 < calls[0] <= n
+    assert 0 < len(products) <= n
 
 
 def test_element_operations_build_no_x_domain_views():
@@ -683,21 +708,32 @@ def test_element_operations_build_no_x_domain_views():
 @pytest.mark.parametrize("m, order, rows", [(1, 60, 61), (2, 60, 61), (3, 100, 101), (4, 100, 50), (5, 30, 31)])
 def test_to_matrix_convolutions_stay_within_the_columns(monkeypatch, m, order, rows):
     """Column k needs its compressed series only through t-order
-    (rows-1-k)//m, so the convolutions of to_matrix make exactly
-    (rows-1-k)//m + 1 coefficients for each column k >= 1, at most
-    rows^2/(2m) + rows in all.  Counts, not times."""
+    (rows-1-k)//m, so the products of to_matrix (steps of its product
+    chain, packed or on _convolve) make exactly (rows-1-k)//m + 1
+    coefficients for each column k >= 1, at most rows^2/(2m) + rows in
+    all.  Counts, not times."""
     e = random_proper_element(random.Random(m), m, order)
-    work = [0]
-    convolve = series._convolve
-
-    def counted(a, b, n):
-        work[0] += n + 1
-        return convolve(a, b, n)
-
-    monkeypatch.setattr(series, "_convolve", counted)
+    products = count_products(monkeypatch)
     to_matrix(e, rows)
-    assert work[0] == sum((rows - 1 - k) // m + 1 for k in range(1, rows))
-    assert work[0] <= rows * rows / (2 * m) + rows
+    assert products == [(rows - 1 - k) // m + 1 for k in range(1, rows)]
+    assert sum(products) <= rows * rows / (2 * m) + rows
+
+
+@given(st.sampled_from([random_proper_element, random_rational_element]), st.integers(1, 4),
+       st.integers(1, 30), st.sampled_from([2, 2**12, 2**40]), st.integers(0, 2**32))
+@settings(max_examples=30, deadline=None)
+def test_to_matrix_matches_the_fraction_column_products(make, m, order, span, seed):
+    """Column k of to_matrix is g f_1 ... f_k (the f_i in cyclic order), by
+    Fraction products.  Integer spans of 2, 2^12 and 2^40 make the column
+    chain pack until its columns run short, hand off to _convolve after
+    two or three steps, or never pack."""
+    rng = random.Random(seed)
+    e = make(rng, m, order, span) if make is random_proper_element else make(rng, m, order)
+    mat = to_matrix(e, order + 1)
+    col = e.g
+    for k in range(order + 1):
+        assert typed([mat[n, k] for n in range(k, order + 1)]) == typed(col.coeffs[k:])
+        col = series_mul_direct(col, e.f[k % m])
 
 
 def test_compressed_engine_matches_explicit_root_engine():

@@ -651,6 +651,116 @@ def test_convolve_packs_by_the_work_of_the_loop(monkeypatch, a, b, packed):
     assert calls[0] == (2 if packed else 0)
 
 
+def chain_direct(start, factors, sizes) -> list:
+    """The products of series._product_chain, one convolve_direct and one
+    reduction a step."""
+    out, (nums, den) = [], start
+    for k, size in enumerate(sizes):
+        f, df = factors[k % len(factors)]
+        nums, den = series._reduced(convolve_direct(nums, f, size - 1), den * df)
+        out.append((list(nums), den))
+    return out
+
+
+@st.composite
+def product_chains(draw):
+    """Arguments of series._product_chain: a start and one to three
+    factors of n coefficients, and one to twelve sizes from n down.  Per
+    operand: magnitudes of a few bits, of 28-35 bits (so that max|a| *
+    sum|f| falls near 2^63 on either side) or of 60-70 bits; zeros at none,
+    half or most of the places; signs mixed, or a negative top
+    coefficient; all numerators times 1, 2 or 3 over a denominator 1, 2, 3
+    or 6, so that the reductions divide."""
+    n = draw(st.integers(1, 40))
+    sizes = sorted(draw(st.lists(st.integers(1, n), min_size=1, max_size=12)), reverse=True)
+
+    def operand():
+        bits = draw(st.one_of(st.integers(0, 4), st.integers(28, 35), st.integers(60, 70)))
+        values = draw(st.lists(st.integers(-(2**bits), 2**bits), min_size=n, max_size=n))
+        r, s = (draw(st.integers(0, 2**n - 1)) for _ in range(2))
+        zeros = draw(st.sampled_from([0, r & s, r | s]))
+        values = [0 if zeros >> i & 1 else v for i, v in enumerate(values)]
+        if draw(st.booleans()):
+            values[-1] = -max(1, abs(values[-1]))
+        c = draw(st.sampled_from([1, 2, 3]))
+        return [c * v for v in values], draw(st.sampled_from([1, 2, 3, 6]))
+
+    start = operand()
+    return start, [operand() for _ in range(draw(st.integers(1, 3)))], sizes
+
+
+# one step each: max|a| * sum|f| against 2^63, sixteen coefficients
+NEAR_63 = [
+    # bits 31 + 32 = 63: packed; slot 15 is (2^31 - 1) * (2^32 - 1)
+    (([2**31 - 1] * 16, 1), [([2**28] * 15 + [2**28 - 1], 1)], [16], 0),
+    (([-(2**31 - 1)] * 16, 1), [([2**28] * 15 + [2**28 - 1], 1)], [16], 0),
+    # bits 32 + 33 = 65: slot 15 would be 2^63, so _convolve
+    (([2**31] * 16, 1), [([2**28] * 16, 1)], [16], 1),
+    (([-(2**31)] * 16, 1), [([2**28] * 15 + [-(2**28)], 1)], [16], 1),
+    # bits 32 + 32 = 64, though every slot fits: _convolve
+    (([2**31] * 16, 1), [([2**28] * 15 + [2**28 - 1], 1)], [16], 1),
+]
+# hand-offs in the middle of a chain, which then stays on _convolve
+HAND_OFFS = [
+    # widths: 1 + 25 bits, then 25 + 25, then 48 + 25 > 63 from the third step
+    (([1] * 20, 1), [([2**20] * 20, 1)], [20] * 5, 3),
+    # the sparse second factor fails the work rule; the dense first one follows
+    (([1] * 16, 1), [([1, 2] * 8, 1), ([1] + [0] * 15, 1)], [16, 16, 16, 16], 3),
+    # sizes below 8 fail the work rule
+    (([1] * 12, 1), [([1] * 12, 1)], [12, 10, 8, 7, 7, 3], 3),
+    # rational numerators: every step divides by 3, packed and after
+    (([3] * 12, 2), [([3, -6] * 6, 3)], [12, 12, 12], 0),
+    (([3] * 12, 2), [([3, -6] * 6, 3), ([3, 0] * 6, 3)], [12, 12, 12], 2),
+]
+
+
+@given(product_chains())
+@example(NEAR_63[0][:3])
+@example(NEAR_63[2][:3])
+@example(HAND_OFFS[0][:3])
+@settings(max_examples=150, deadline=None)
+def test_product_chain_matches_the_direct_products(chain):
+    """Every product of series._product_chain, packed or on _convolve, equals
+    the convolution by definition reduced as ``_powers`` reduces it, and
+    every value stays an int."""
+    got = [(list(nums), den) for nums, den in series._product_chain(*chain)]
+    assert got == chain_direct(*chain)
+    assert all(type(v) is int for nums, _ in got for v in nums)
+
+
+@pytest.mark.parametrize("start, factors, sizes, convolved", NEAR_63 + HAND_OFFS)
+def test_product_chain_packs_until_a_step_cannot(monkeypatch, start, factors, sizes, convolved):
+    """A step packs while bits(max|a|) + bits(sum|f|) < 64 and the work rule
+    would pack; the first step that cannot is a _convolve, and so is every
+    later one."""
+    calls = []
+    convolve = series._convolve
+
+    def counted(a, b, n):
+        calls.append(n + 1)
+        return convolve(a, b, n)
+
+    monkeypatch.setattr(series, "_convolve", counted)
+    got = [(list(nums), den) for nums, den in series._product_chain(start, factors, sizes)]
+    assert got == chain_direct(start, factors, sizes)
+    assert calls == sizes[len(sizes) - convolved :]
+
+
+@given(st.data(), st.integers(1, 30), st.integers(1, 6), st.sampled_from(["small", "wide", "rational"]))
+@settings(max_examples=40, deadline=None)
+def test_power_tables_match_the_fraction_oracles(data, n, count, kind):
+    """series._powers(s, count, n) gives s^0..s^count through x^n."""
+    coeff = {
+        "small": st.integers(-3, 3),
+        "wide": st.integers(-(2**30), 2**30),
+        "rational": st.fractions(min_value=-5, max_value=5, max_denominator=6),
+    }[kind]
+    s = Series(data.draw(st.lists(coeff, min_size=n + 1, max_size=n + 1)))
+    for j, (nums, den) in enumerate(series._powers(s.scaled(), count, n)):
+        want = power_direct(s, j).coeffs[: n + 1]
+        assert typed(Series._over(list(nums[: n + 1]), den).coeffs) == typed(want)
+
+
 # -- kernels on the sublattice a series occupies ---------------------------
 
 wide_coeffs = st.integers(min_value=-(2**100), max_value=2**100)
