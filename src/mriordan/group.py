@@ -12,6 +12,7 @@ integers.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain
@@ -78,8 +79,9 @@ class MRiordanElement:
 class CoeffMatrix:
     """Lower-triangular coefficient matrix, stored row-major as tuples of
     entries in the ``Series`` coefficient representation (any other type is
-    a ``TypeError``).  A shape that is not `rows` rows of `rows` entries, or
-    a nonzero entry above the diagonal, is an ``InvalidArgument``.  The
+    a ``TypeError``, and so is a `rows` that is not an ``int``).  A shape
+    that is not `rows` rows of `rows` entries, or a nonzero entry above the
+    diagonal, is an ``InvalidArgument``.  The
     constructor checks this once, where a matrix enters the package, and
     finds the stride ``_stride`` (not a field): the gcd d of n - k over the
     nonzero entries below the diagonal, 0 if none, so entry (n, k) is zero
@@ -90,6 +92,7 @@ class CoeffMatrix:
     entries: tuple  # tuple of row tuples, each of length `rows`
 
     def __post_init__(self):
+        _check_rows(self.rows)
         entries = tuple(map(tuple, self.entries))
         # one type scan for an all-int matrix; only otherwise is each entry checked
         if not all(list(map(type, r)).count(int) == len(r) for r in entries):
@@ -132,23 +135,79 @@ class CoeffMatrix:
         # n = k (mod d) of their common stride d, and so is the product:
         # entry (n, k) is computed only in n's class, from the entries of
         # row n and column k in that class (two diagonal operands: d = rows).
-        # Those are scaled to integer numerators once; one division per entry
+        # Two int operands whose product fits 64-bit slots take
+        # ``_packed_product``; otherwise each row and column is scaled to
+        # integer numerators once, and there is one division per entry
         size = self.rows
         if other.rows != size:
             raise InvalidArgument(f"cannot multiply a {size}-row matrix by a {other.rows}-row one")
         stride = gcd(self._stride, other._stride)
         d = stride or size
-        cols = [scale(col[k::d]) for k, col in enumerate(zip(*other.entries))]
-        out = []
-        for n, row in enumerate(self.entries):
-            cells = [0] * size
-            nums, dr = scale(row[n % d : n + 1 : d])
-            for j, k in enumerate(range(n % d, n + 1, d)):
-                col, dc = cols[k]
-                dot = sum(map(mul, nums[j:], col))  # i = k, k + d, ..., n
-                cells[k] = dot if dr == dc == 1 else exact_ratio(dot, dr * dc)
-            out.append(cells)
+        out = _packed_product(self.entries, other.entries, d)
+        if out is None:
+            cols = [scale(col[k::d]) for k, col in enumerate(zip(*other.entries))]
+            out = []
+            for n, row in enumerate(self.entries):
+                cells = [0] * size
+                nums, dr = scale(row[n % d : n + 1 : d])
+                for j, k in enumerate(range(n % d, n + 1, d)):
+                    col, dc = cols[k]
+                    dot = sum(map(mul, nums[j:], col))  # i = k, k + d, ..., n
+                    cells[k] = dot if dr == dc == 1 else exact_ratio(dot, dr * dc)
+                out.append(cells)
         return CoeffMatrix._built(size, out, stride)
+
+
+def _packed_product(a_rows: tuple, b_rows: tuple, d: int):
+    """The rows of A @ B for matrices of stride d given as their rows, or
+    None when an entry is not an int or the product might not fit the
+    slots.
+
+    The class slice of each row of B (its entries k = i mod d, ..., i) is
+    packed once into slots of c 64-bit words (Kronecker substitution) by
+    ``series._pack64``, with a zero high word after each entry when c = 2.
+    Row n of the product is then the one integer sum of row n's class
+    slice times packed rows n mod d, n mod d + d, ..., n, read back with
+    one ``struct.unpack`` as signed words (for c = 2 a slot is its low word
+    plus its high word times 2^64).  A slot of one word so holds
+    |v| < 2^63, and one of two |v| < 2^127 - 2^63.  With L the longest class slice, every
+    entry of the product is at most L * max|A| * max|B|, and bits(L) +
+    bits(max|A|) + bits(max|B|) + 1 <= 64c bounds that by 2^(64c - 1) -
+    2^(64c - 1 - bits(max|B|)): in the slot, as every |b| < 2^63.  The
+    last row of B is checked first, by one type scan and one width scan
+    with no exception raised: its entries are the largest, so a wide or
+    rational B is refused there at the cost of one row."""
+    if not b_rows:
+        return None
+    last = b_rows[-1]
+    if list(map(type, last)).count(int) < len(last) or max(map(int.bit_length, last)) > 63:
+        return None
+    try:
+        left = [row[n % d : n + 1 : d] for n, row in enumerate(a_rows)]
+        right = [row[i % d : i + 1 : d] for i, row in enumerate(b_rows)]
+        wa = max(map(int.bit_length, chain.from_iterable(left)))
+        wb = max(map(int.bit_length, chain.from_iterable(right)))
+    except TypeError:  # a Fraction in another row
+        return None
+    width = len(left[-1]).bit_length() + wa + wb + 1  # left[-1] is the longest slice
+    if wb > 63 or width > 128:
+        return None
+    c = 1 if width <= 64 else 2
+    tops = [series._tops(c * k) for k in range(len(left[-1]) + 1)]  # by slot count
+    packed = []
+    for r in right:
+        words = [0] * (c * len(r))
+        words[::c] = r
+        packed.append(series._pack64(words, tops[len(r)]))
+    out = []
+    for n, a in enumerate(left):
+        k, t = len(a), tops[len(a)]
+        raw = (sum(map(mul, a, packed[n % d :: d]), t) ^ t).to_bytes(8 * c * k, "little")
+        w = struct.unpack(f"<{c * k}q", raw)
+        cells = [0] * len(b_rows)
+        cells[n % d : n + 1 : d] = w if c == 1 else [lo + (hi << 64) for lo, hi in zip(w[::2], w[1::2])]
+        out.append(cells)
+    return out
 
 
 def new_element(m: int, g: Series, f: Sequence[Series], order: int | None = None) -> MRiordanElement:
@@ -242,6 +301,12 @@ def to_matrix(e: MRiordanElement, rows: int) -> CoeffMatrix:
     return CoeffMatrix._built(rows, lists, e.m * gcd(*steps))
 
 
+def _check_rows(rows) -> None:
+    """A row count is an ``int``: a float or a ``bool`` is a ``TypeError``."""
+    if type(rows) is not int:
+        raise TypeError(f"rows must be an int, got {type(rows).__name__}")
+
+
 def _matrix_rows(e: MRiordanElement, rows: int) -> list:
     """The element's matrix as `rows` list rows.  Column k is x^k C_k(x^m),
     where C_0 = ghat and C_k = C_(k-1) * fhat_((k-1) mod m + 1) is needed
@@ -249,6 +314,7 @@ def _matrix_rows(e: MRiordanElement, rows: int) -> list:
     ``series._product_chain`` on integer numerators over one reduced
     denominator, so the only exact coefficients made are the entries
     written."""
+    _check_rows(rows)
     if rows < 1:
         raise InvalidArgument("rows must be >= 1")
     if rows > e.order + 1:

@@ -412,11 +412,10 @@ def _tops(n: int) -> int:
     return int.from_bytes(b"\0\0\0\0\0\0\0\x80" * n, "little")
 
 
-def _pack64(a: Sequence[int]) -> int:
+def _pack64(a: Sequence[int], tops: int) -> int:
     """The integer sum of a[i] * 2^(64*i) for |a[i]| < 2^63, in O(n): the
     slots as two's complement bytes, each read back signed by flipping its
-    top bit and subtracting 2^63."""
-    tops = _tops(len(a))
+    top bit and subtracting 2^63 (tops is ``_tops(n)`` for an n >= len(a))."""
     return (int.from_bytes(struct.pack(f"<{len(a)}q", *a), "little") ^ tops) - tops
 
 
@@ -428,13 +427,14 @@ def _product_chain(start: tuple, factors: Sequence[tuple], sizes: Sequence[int])
 
     While it can, the chain keeps its running product packed, as the one
     integer p = sum nums[i] * 2^(64*i) (Kronecker substitution), and a step
-    is p * F mod 2^(64*size), F the packed factor.  A slot is exact when
-    bits(max|nums|) + bits(sum|f|) < 64, since every product coefficient is
-    at most max|nums| * sum|f| in size; only the values handed out are
-    unpacked, and a gcd that reduces them divides p too.  A step that fails
-    that bound, or on which ``_convolve``'s work rule would take the loop,
-    is a ``_convolve``, and so is every later one: the lengths only shrink
-    and the coefficients only widen."""
+    is p * F mod 2^(64*size), F the packed factor cut to the size slots
+    kept (p * F and p * (F mod 2^(64*size)) agree there).  A slot is exact
+    when bits(max|nums|) + bits(sum|f|) < 64, since every product
+    coefficient is at most max|nums| * sum|f| in size; only the values
+    handed out are unpacked, and a gcd that reduces them divides p too.  A
+    step that fails that bound, or on which ``_convolve``'s work rule would
+    take the loop, is a ``_convolve``, and so is every later one: the
+    lengths only shrink and the coefficients only widen."""
     nums, den = start
     top = sizes[0] if sizes else 0
     widths = [sum(map(abs, f[:top])).bit_length() for f, _ in factors]  # bits(sum|f|)
@@ -445,10 +445,10 @@ def _product_chain(start: tuple, factors: Sequence[tuple], sizes: Sequence[int])
         a = nums[:size]
         if max(map(abs, a)).bit_length() + widths[i] > 63 or not _worth_packing(a, f[:size], size - 1):
             break
+        tops, mask = _tops(size), (1 << 64 * size) - 1
         if i not in packed:
-            packed[i] = _pack64(f[:top])
-        tops = _tops(size)
-        r = ((_pack64(a) if p is None else p) * packed[i] + tops) & ((1 << 64 * size) - 1)
+            packed[i] = _pack64(f[:top], _tops(top))
+        r = ((_pack64(a, tops) if p is None else p) * (packed[i] & mask) + tops) & mask
         p = r - tops
         nums = struct.unpack(f"<{size}q", (r ^ tops).to_bytes(8 * size, "little"))
         g = gcd(den * df, *nums)

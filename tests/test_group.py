@@ -387,27 +387,140 @@ def test_strided_matmul_matches_fraction_kernel(case):
         assert mat == fresh and fresh == mat and hash(mat) == hash(fresh) and repr(mat) == repr(fresh)
 
 
+def _spy_on_paths(monkeypatch) -> list:
+    """Record, for each @ from here on, whether it took the packed rows
+    ("packed") or the dot-product loop ("loop")."""
+    paths, packed_product = [], group._packed_product
+
+    def spied(*args):
+        out = packed_product(*args)
+        paths.append("loop" if out is None else "packed")
+        return out
+
+    monkeypatch.setattr(group, "_packed_product", spied)
+    return paths
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 @pytest.mark.parametrize("rows", [41, 61])
 def test_matmul_multiplications_stay_within_the_residue_classes(monkeypatch, m, rows):
-    """Element matrices are zero off n = k (mod m), so @ needs at most
-    rows^3/(6m^2) + rows^2 multiplications, not the dense rows^3/6; the
-    diagonal identity matrix needs one per row.  Counts, not times."""
+    """Element matrices are zero off n = k (mod m), so @ multiplies only
+    within the classes of the common stride d: packed rows make exactly
+    one product per entry of row n's class, n//d + 1, and the loop of two
+    rational matrices at most rows^3/(6m^2) + rows^2, not the dense
+    rows^3/6; the diagonal identity matrix needs one per row.  Counts, not
+    times."""
     rng = random.Random(m)
-    mat_a, mat_b = (to_matrix(random_proper_element(rng, m, rows - 1), rows) for _ in range(2))
-    calls = [0]
+    calls, paths = [0], _spy_on_paths(monkeypatch)
 
     def counted(x, y):
         calls[0] += 1
         return x * y
 
     monkeypatch.setattr(group, "mul", counted)
-    mat_a @ mat_b
-    assert calls[0] <= rows**3 / (6 * m * m) + rows**2
+    for make in (random_proper_element, random_rational_element):
+        mat_a, mat_b = (to_matrix(make(rng, m, rows - 1), rows) for _ in range(2))
+        d = math.gcd(mat_a._stride, mat_b._stride)
+        calls[0] = 0
+        mat_a @ mat_b
+        if make is random_proper_element:
+            assert paths[-1] == "packed" and d % m == 0
+            assert calls[0] == sum(n // d + 1 for n in range(rows))
+        else:
+            assert paths[-1] == "loop"
+            assert calls[0] <= rows**3 / (6 * m * m) + rows**2
     calls[0] = 0
     ident = to_matrix(identity(m, rows - 1), rows)
     ident @ ident
     assert calls[0] == rows
+
+
+def int_lists(size, bits):
+    """`size` ints of at most `bits` bits and either sign, many of them at
+    the top of that range, +-(2^(bits-1) ... 2^bits - 1), and some 0."""
+    hi = 2**bits - 1
+    top = st.integers(2 ** (bits - 1), hi)
+    return st.lists(st.one_of(st.integers(-hi, hi), top, top.map(lambda v: -v), st.just(0)),
+                    min_size=size, max_size=size)
+
+
+wide_int_pairs = st.tuples(
+    st.integers(min_value=0, max_value=13), st.sampled_from(STRIDES), st.sampled_from(STRIDES),
+    st.integers(min_value=1, max_value=65), st.integers(min_value=1, max_value=65),
+).flatmap(lambda t: st.tuples(*map(st.just, t[:3]), int_lists(t[0] ** 2, t[3]), int_lists(t[0] ** 2, t[4])))
+
+
+@given(wide_int_pairs)
+@example((0, 1, 1, [], []))
+@example((5, 0, 0, [1] * 25, [1] * 25))
+@example((1, 1, 1, [2**63 - 1], [-(2**63 - 1)]))
+@example((3, 1, 1, [2**64 + 1] * 9, [-1] * 9))
+@example((3, 1, 1, [2**63 - 1] * 9, [-(2**62)] * 9))
+@example((3, 1, 1, [1] * 9, [2**63] * 9))
+@example((3, 1, 1, [1] * 9, [-(2**63)] * 9))
+@example((4, 2, 1, [Fraction(1, 3)] * 16, [5] * 16))
+@example((4, 1, 2, [5] * 16, [Fraction(-7, 2)] * 16))
+@example((4, 1, 1, [1, 0, 0, 0, 2, Fraction(1, 2)] + [3] * 10, list(range(16))))
+@example((3, 1, 1, [1] * 9, [1, 0, 0, Fraction(1, 2), 1, 0, 1, 1, 1]))
+@settings(max_examples=150, deadline=None)
+def test_packed_matmul_matches_fraction_kernel(case):
+    """Int matrices of up to 65-bit entries, strides mixed, sizes 0 to 13:
+    @ matches the Fraction kernel value for value and type for type, and it
+    packs rows exactly when every entry is an int, every entry of B is
+    below 2^63 in size and bits(L) + bits(max|A|) + bits(max|B|) + 1 <= 128,
+    L the longest class slice; rational and mixed operands take the loop."""
+    size, da, db, va, vb = case
+    a, b = _strided(size, da, va), _strided(size, db, vb)
+    got, want = a @ b, matmul_direct(a, b)
+    assert [typed(row) for row in got.entries] == [typed(row) for row in want.entries]
+    d = math.gcd(a._stride, b._stride) or size
+    packed = group._packed_product(a.entries, b.entries, d) is not None
+    if not size or not all(type(v) is int for v in va + vb):
+        assert not packed
+    else:
+        wa, wb = (max(abs(v) for row in mat.entries for v in row).bit_length() for mat in (a, b))
+        assert packed == (wb < 64 and ((size - 1) // d + 1).bit_length() + wa + wb + 1 <= 128)
+
+
+@pytest.mark.parametrize("width", [63, 64, 65, 127, 128, 129])
+@pytest.mark.parametrize("size, d", [(3, 1), (13, 2), (13, 6)])  # longest class slice 3, 7, 3
+@pytest.mark.parametrize("sign_a, sign_b", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+def test_packed_matmul_at_the_slot_bounds(monkeypatch, width, size, d, sign_a, sign_b):
+    """Every class entry of A is sign_a * (2^wa - 1) and of B sign_b *
+    (2^wb - 1), with bits(L) + wa + wb + 1 = width.  The largest entry of
+    the product, L * (2^wa - 1) * (2^wb - 1) with L = 2^j - 1, nearly fills
+    its one-word slot at width 64 and its two-word slot at 128, and would
+    overflow the slot that a bound one bit wider picks: one word at width
+    65, two at 129, which takes the loop."""
+    longest = (size - 1) // d + 1
+    wb = min(63, (width - longest.bit_length() - 1) // 2)
+    wa = width - longest.bit_length() - 1 - wb
+    a = _strided(size, d, [sign_a * (2**wa - 1)] * size**2)
+    b = _strided(size, d, [sign_b * (2**wb - 1)] * size**2)
+    paths = _spy_on_paths(monkeypatch)
+    got, want = a @ b, matmul_direct(a, b)
+    assert [typed(row) for row in got.entries] == [typed(row) for row in want.entries]
+    assert paths == ["packed" if width <= 128 else "loop"]
+    assert abs(got[size - 1, (size - 1) % d]) == longest * (2**wa - 1) * (2**wb - 1)
+
+
+@pytest.mark.parametrize("rows, m, path", [
+    (37, 1, "packed"), (37, 2, "packed"), (37, 3, "packed"), (37, 4, "packed"),
+    (73, 1, "loop"), (73, 2, "packed"), (73, 3, "packed"), (73, 4, "packed"),
+    (145, 1, "loop"), (145, 2, "loop"), (145, 3, "packed"), (145, 4, "packed"),
+])
+def test_matmul_path_of_int_element_matrices(monkeypatch, rows, m, path):
+    """Which path @ takes on the matrices of two random int elements (span
+    2) at 37 to 145 rows, the sizes the benchmark multiplies: packed rows
+    until the entries reach 2^63 or the slots would need more than two
+    words.  The result equals the loop's."""
+    rng = random.Random(m)
+    mat_a, mat_b = (to_matrix(random_proper_element(rng, m, rows - 1), rows) for _ in range(2))
+    paths = _spy_on_paths(monkeypatch)
+    got = mat_a @ mat_b
+    assert paths == [path]
+    monkeypatch.setattr(group, "_packed_product", lambda *args: None)
+    assert got == mat_a @ mat_b
 
 
 @pytest.mark.parametrize("rows, entries, message", [
@@ -445,6 +558,25 @@ def test_coeff_matrix_rejects_inexact_entries(entry):
     for rows, entries in ((3, ((1, 0), (entry, 1))), (2, ((1, 5), (entry, 1))), (2, ((1, 0), (entry, 1, 0)))):
         with pytest.raises(TypeError):
             CoeffMatrix(rows, entries)
+
+
+@pytest.mark.parametrize("rows", [2.0, True, Fraction(2), "2"])
+def test_coeff_matrix_rows_must_be_an_int(rows):
+    """A float, bool or other non-int row count is refused where it enters,
+    not left to fail inside @ or to be stored as the matrix's size."""
+    entries = [[1]] if rows == 1 else [[1, 0], [1, 1]]  # True: a shape that would fit
+    with pytest.raises(TypeError) as info:
+        CoeffMatrix(rows, entries)
+    assert str(info.value) == f"rows must be an int, got {type(rows).__name__}"
+
+
+@pytest.mark.parametrize("build", [to_matrix, bivariate_table])
+def test_element_rows_must_be_an_int(build):
+    e = identity(2, 6)
+    for rows in (True, 2.0):
+        with pytest.raises(TypeError) as info:
+            build(e, rows)
+        assert str(info.value) == f"rows must be an int, got {type(rows).__name__}"
 
 
 def test_matmul_rejects_operands_of_different_sizes():
