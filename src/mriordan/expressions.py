@@ -35,7 +35,7 @@ from .errors import (
     MRiordanError,
     UnknownIdentifier,
 )
-from .series import Series, catalan_series, compose, sqrt_unit
+from .series import Series, _at_least, catalan_series, compose, sqrt_unit
 
 RESERVED = {"x", "sqrt", "catalan"}
 
@@ -254,8 +254,9 @@ _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operato
 
 
 def evaluate(node: Node, bindings: Mapping[str, Series], order: int) -> Series:
-    """Evaluate to an exact Series of the given order."""
-    return _as_series(_value(node, bindings, order), order)
+    """Evaluate to an exact Series of the given order (an ``int``; where a
+    negative one is refused depends on the expression)."""
+    return _as_series(_value(node, bindings, _at_least(order, None, "order")), order)
 
 
 def _value(node: Node, bindings: Mapping[str, Series], order: int):

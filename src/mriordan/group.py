@@ -30,7 +30,7 @@ from .errors import (
     OrderTooSmall,
 )
 from .series import Series, aerate, compose, compose_many, compose_reverted, compress
-from .series import exact_coeff, exact_ratio, scale
+from .series import _at_least, exact_coeff, exact_ratio, scale
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,7 @@ class CoeffMatrix:
     entries: tuple  # tuple of row tuples, each of length `rows`
 
     def __post_init__(self):
-        _check_rows(self.rows)
+        _at_least(self.rows, 0, "rows")
         entries = tuple(map(tuple, self.entries))
         # one type scan for an all-int matrix; only otherwise is each entry checked
         if not all(list(map(type, r)).count(int) == len(r) for r in entries):
@@ -131,6 +131,8 @@ class CoeffMatrix:
         return all(v.denominator == 1 for row in self.entries for v in row)
 
     def __matmul__(self, other: "CoeffMatrix") -> "CoeffMatrix":
+        if not isinstance(other, CoeffMatrix):
+            return NotImplemented  # so that Python raises TypeError
         # both operands are lower-triangular and zero off the classes
         # n = k (mod d) of their common stride d, and so is the product:
         # entry (n, k) is computed only in n's class, from the entries of
@@ -213,13 +215,11 @@ def _packed_product(a_rows: tuple, b_rows: tuple, d: int):
 def new_element(m: int, g: Series, f: Sequence[Series], order: int | None = None) -> MRiordanElement:
     """Validate x-domain components and build an element; raises on any
     profile violation."""
-    if m < 1:
-        raise InvalidArgument("m must be a positive integer")
+    _at_least(m, 1, "m")
+    order = g.order if order is None else _at_least(order, 0, "order")
     f = tuple(f)
     if len(f) != m:
         raise InvalidArgument(f"expected {m} f-series, got {len(f)}")
-    if order is None:
-        order = g.order
     if g.order != order or any(fi.order != order for fi in f):
         raise MixedOrder("all components must share the element's truncation order")
     ghat = _compress(g, m, 0, "g")
@@ -246,7 +246,7 @@ def _compress(s: Series, m: int, residue: int, component: str) -> Series:
 
 def identity(m: int, order: int) -> MRiordanElement:
     x = Series.x(order)
-    return new_element(m, Series.one(order), [x] * m, order)
+    return new_element(m, Series.one(order), [x] * _at_least(m, 1, "m"), order)
 
 
 def _check_compatible(a: MRiordanElement, b: MRiordanElement) -> None:
@@ -301,12 +301,6 @@ def to_matrix(e: MRiordanElement, rows: int) -> CoeffMatrix:
     return CoeffMatrix._built(rows, lists, e.m * gcd(*steps))
 
 
-def _check_rows(rows) -> None:
-    """A row count is an ``int``: a float or a ``bool`` is a ``TypeError``."""
-    if type(rows) is not int:
-        raise TypeError(f"rows must be an int, got {type(rows).__name__}")
-
-
 def _matrix_rows(e: MRiordanElement, rows: int) -> list:
     """The element's matrix as `rows` list rows.  Column k is x^k C_k(x^m),
     where C_0 = ghat and C_k = C_(k-1) * fhat_((k-1) mod m + 1) is needed
@@ -314,10 +308,7 @@ def _matrix_rows(e: MRiordanElement, rows: int) -> list:
     ``series._product_chain`` on integer numerators over one reduced
     denominator, so the only exact coefficients made are the entries
     written."""
-    _check_rows(rows)
-    if rows < 1:
-        raise InvalidArgument("rows must be >= 1")
-    if rows > e.order + 1:
+    if _at_least(rows, 1, "rows") > e.order + 1:
         raise OrderTooSmall(f"{rows} rows need order >= {rows - 1}, have {e.order}")
     m = e.m
     entries = [[0] * rows for _ in range(rows)]

@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .errors import InvalidArgument, OrderTooSmall
 from .group import CoeffMatrix
-from .series import Series
+from .series import Series, _at_least
 
 
 @dataclass(frozen=True)
@@ -30,14 +30,12 @@ class LatticeSpec:
     rules: tuple  # tuple (per residue) of tuples of (dn, dk) source offsets
 
     def __post_init__(self):
-        if self.m < 1 or len(self.rules) != self.m:
+        if len(self.rules) != _at_least(self.m, 1, "m"):
             raise InvalidArgument("need exactly one rule list per residue class")
         for rule in self.rules:
             for dn, dk in rule:
-                if type(dn) is not int or type(dk) is not int:
-                    raise TypeError("step offsets must be integers")
-                if dn < 1:
-                    raise InvalidArgument("every step must advance n (dn >= 1)")
+                _at_least(dn, 1, "dn")
+                _at_least(dk, None, "dk")
 
     @classmethod
     def from_lists(cls, m: int, rules: Sequence[Sequence[Sequence[int]]]) -> "LatticeSpec":
@@ -62,9 +60,7 @@ def _padded_rows(spec: LatticeSpec, rows: int):
     makes either way, so a source outside 0 <= k - dk <= n - dn reads a
     stored zero.  Only the last max(dn) rows are kept for the fill.
     """
-    if rows < 1:
-        raise InvalidArgument("rows must be >= 1")
-    rules = _acting_rules(spec, rows)  # so both pads stay below rows
+    rules = _acting_rules(spec, _at_least(rows, 1, "rows"))  # so both pads stay below rows
     m, dks = spec.m, [dk for rule in rules for _, dk in rule]
     lo, hi = max([0, *dks]), max([0, *(-dk for dk in dks)])
     depth = max([1, *(dn for rule in rules for dn, _ in rule)])
@@ -102,7 +98,7 @@ def count_table(spec: LatticeSpec, rows: int) -> CoeffMatrix:
 def left_factors(spec: LatticeSpec, terms: int) -> list:
     """Term n counts path prefixes reaching abscissa n: row sums of the
     counting table, each summed as the fill makes its row."""
-    return [sum(row) for _, row in _padded_rows(spec, terms)]
+    return [sum(row) for _, row in _padded_rows(spec, _at_least(terms, 1, "terms"))]
 
 
 @dataclass(frozen=True)
@@ -126,6 +122,7 @@ def verify_against_gf(
     spec: LatticeSpec, column_gfs: Sequence[Series], terms: int
 ) -> VerifyReport:
     """Compare count_table entries with [x^n] of the supplied column GFs."""
+    _at_least(terms, 1, "terms")
     for col in column_gfs:
         if col.order < terms - 1:
             raise OrderTooSmall(

@@ -7,9 +7,9 @@ from itertools import accumulate
 from math import lcm
 from typing import Sequence
 
-from .errors import InvalidArgument, OrderTooSmall
+from .errors import OrderTooSmall
 from .group import MRiordanElement, _matrix_rows
-from .series import Coeff, Series, exact_coeff, exact_ratio, scale
+from .series import Coeff, Series, _at_least, exact_coeff, exact_ratio, scale
 
 
 def row_sums(e: MRiordanElement, terms: int) -> list:
@@ -29,9 +29,7 @@ def _sums_along(e: MRiordanElement, terms: int, s: int) -> list:
     sum_{j<m} x^((s+1)j) C_j(x^m) / (1 - t^s what)(x^m).  Term j, with
     (s+1)j = a*m + r, adds t^a C_j/(1 - t^s what) to slot r; output term i
     is coefficient i//m of slot i mod m."""
-    if terms < 1:
-        raise InvalidArgument("terms must be >= 1")
-    if terms > e.order + 1:
+    if _at_least(terms, 1, "terms") > e.order + 1:
         raise OrderTooSmall(f"{terms} terms need order >= {terms - 1}")
     m, n = e.m, e.order
     slots = [Series.zero(max(n - r, 0) // m) for r in range(m)]  # slot r > n is never read
@@ -104,7 +102,8 @@ def hankel_transform(seq: Sequence) -> list:
     term n is pivot_n / D^(n+1).  From the first zero pivot on, which
     would need a row exchange, each term is its own determinant."""
     count = (len(seq) + 1) // 2
-    nums, den = scale([exact_coeff(seq[i]) for i in range(2 * count - 1)])
+    # every term is checked, though the last of an even length is never read
+    nums, den = scale(list(map(exact_coeff, seq))[: 2 * count - 1])
     a = [list(nums[i : i + count]) for i in range(count)]
     out = []
     prev = 1
@@ -122,6 +121,4 @@ def hankel_transform(seq: Sequence) -> list:
 
 def interleave_split(seq: Sequence, m: int) -> list:
     """Slot j holds the terms at indices congruent to j mod m."""
-    if m < 1:
-        raise InvalidArgument("m must be >= 1")
-    return [list(seq[j::m]) for j in range(m)]
+    return [list(seq[j::m]) for j in range(_at_least(m, 1, "m"))]

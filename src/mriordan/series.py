@@ -81,10 +81,13 @@ def scale(values: Sequence[Coeff]) -> tuple:
     return tuple(v.numerator * (den // v.denominator) for v in values), den
 
 
-def _at_least(n: int, low: int, what: str) -> int:
-    """n itself: a negative order or shift, or a modulus below 1, is an
-    error, never a slice from the end or a division by zero."""
-    if n < low:
+def _at_least(n: int, low: int | None, what: str) -> int:
+    """n itself, the package's one check of an integer argument: anything
+    but an ``int`` (a ``bool`` too) is a ``TypeError``, one below low (unless
+    None) an error, never a slice from the end or a division by zero."""
+    if type(n) is not int:
+        raise TypeError(f"{what} must be an int, got {type(n).__name__}")
+    if low is not None and n < low:
         raise InvalidArgument(f"{what} must be >= {low}, got {n}")
     return n
 
@@ -138,14 +141,12 @@ class Series:
 
     @classmethod
     def x(cls, order: int) -> "Series":
-        if order < 1:
-            raise InvalidArgument("x needs order >= 1")
-        return cls([0, 1] + [0] * (order - 1))
+        return cls([0, 1] + [0] * (_at_least(order, 1, "order") - 1))
 
     @classmethod
     def from_poly(cls, coeffs: Sequence[Coeff], order: int) -> "Series":
         """Polynomial coefficients, zero-padded or truncated to `order`."""
-        cs = list(coeffs[: order + 1])
+        cs = list(coeffs[: _at_least(order, 0, "order") + 1])
         cs += [0] * (order + 1 - len(cs))
         return cls(cs)
 
@@ -169,9 +170,9 @@ class Series:
         return self._scaled
 
     def truncate(self, order: int) -> "Series":
-        if order >= self.order:
+        if _at_least(order, 0, "order") >= self.order:
             return self
-        return Series(self.coeffs[: _at_least(order, 0, "order") + 1])
+        return Series(self.coeffs[: order + 1])
 
     def eq_through(self, other: "Series", order: int) -> bool:
         n = _at_least(order, 0, "order") + 1
@@ -258,7 +259,7 @@ class Series:
 
     def __pow__(self, n: int) -> "Series":
         """s^n = x^(v n) w^n for s = x^v w, w_0 != 0: one ``_power`` call."""
-        if not isinstance(n, int):
+        if type(n) is not int:
             raise TypeError("series exponents must be integers")
         if self.coeffs[0]:
             return _power(self, n, 1)
@@ -276,11 +277,11 @@ class Series:
 
     def shift_up(self, k: int = 1) -> "Series":
         """Multiply by x^k exactly; order grows by k."""
-        return Series((0,) * _at_least(k, 0, "shift") + self.coeffs)
+        return Series((0,) * _at_least(k, 0, "k") + self.coeffs)
 
     def shift_down(self, k: int = 1) -> "Series":
         """Divide by x^k; requires valuation >= k.  Order shrinks by k."""
-        _at_least(k, 0, "shift")
+        _at_least(k, 0, "k")
         if any(self.coeffs[i] for i in range(min(k, self.order + 1))):
             raise DivisionByNonUnit(f"valuation < {k}, cannot divide by x^{k}")
         if self.order < k:
@@ -299,8 +300,9 @@ def _lattice(a: Sequence) -> tuple:
     the largest such step, and s = 0 when a has at most one nonzero (and
     v = 0 when it has none).  A series dense from its first nonzero
     coefficient on is settled by that coefficient and the next, before any
-    gcd: 74-85% of the calls of the benchmark's algebra workloads; the
-    others read at most eight coefficients."""
+    gcd: 74-85% of the calls of the benchmark's algebra workloads, where
+    the others read at most eight coefficients.  In ``cli_session``, 595 of
+    1155 calls read the whole series, 33.9k coefficients a pass."""
     for v, c in enumerate(a):
         if c:
             break
@@ -572,8 +574,7 @@ def compose_reverted(outers: Sequence[Series], f: Series) -> list:
 
 def nth_root_unit(u: Series, m: int) -> Series:
     """The unique v with v^m = u and v(0) = 1."""
-    if m < 1:
-        raise InvalidArgument("root index must be positive")
+    _at_least(m, 1, "m")
     if u.coeffs[0] != 1:
         raise RootRequiresUnitConstant("m-th root requires constant term 1")
     return _power(u, 1, m)
@@ -648,6 +649,6 @@ def catalan_series(order: int) -> Series:
     one step a coefficient.  The division is exact: C_n (4n+2) =
     (n+2) C_(n+1), so every coefficient is an int."""
     c = [1]
-    for n in range(order):
+    for n in range(_at_least(order, 0, "order")):
         c.append(c[-1] * (4 * n + 2) // (n + 2))
     return Series(c)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from mriordan import Series, evaluate_text, inverse
+from mriordan import Series, evaluate_text, identity, inverse
 from mriordan.cli import build_parser, run
 from mriordan.documents import (
     DocumentError,
@@ -101,6 +101,14 @@ def test_random_element_doc_round_trip(m, make):
     for order in (m, rng.randint(m, 40), 120):
         e = make(rng, m, order)
         assert element_from_doc(element_to_doc(e)) == e
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_element_json_round_trip(m):
+    """What ``element_to_json`` writes, ``element_from_doc`` reads back."""
+    rng = random.Random(m)
+    for e in (identity(m, 12), random_proper_element(rng, m, 30), random_rational_element(rng, m, 30)):
+        assert element_from_doc(json.loads(element_to_json(e))) == e
 
 
 def test_reading_a_polynomial_doc_builds_no_series_per_term(monkeypatch):

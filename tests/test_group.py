@@ -579,6 +579,16 @@ def test_element_rows_must_be_an_int(build):
         assert str(info.value) == f"rows must be an int, got {type(rows).__name__}"
 
 
+@pytest.mark.parametrize("other", [3, Fraction(1, 2), [[1]], None])
+def test_matmul_with_a_non_matrix_is_a_type_error(other):
+    """``@`` gives way to the other operand, so Python raises TypeError."""
+    mat = to_matrix(identity(1, 4), 2)
+    with pytest.raises(TypeError, match="unsupported operand"):
+        mat @ other
+    with pytest.raises(TypeError, match="unsupported operand"):
+        other @ mat
+
+
 def test_matmul_rejects_operands_of_different_sizes():
     two, three = to_matrix(identity(1, 4), 2), to_matrix(identity(1, 4), 3)
     for a, b in ((two, three), (three, two)):

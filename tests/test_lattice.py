@@ -73,7 +73,19 @@ def test_empty_rules_count_only_the_empty_path():
 def test_tables_need_at_least_one_row(call, rows):
     with pytest.raises(InvalidArgument) as info:
         call(threefold(), rows)
-    assert str(info.value) == "rows must be >= 1"
+    name = "rows" if call is count_table else "terms"  # the parameter's own name
+    assert str(info.value) == f"{name} must be >= 1, got {rows}"
+
+
+@pytest.mark.parametrize("step, message", [
+    ((1.0, 1), "dn must be an int, got float"),
+    ((1, True), "dk must be an int, got bool"),
+    ((True, 0), "dn must be an int, got bool"),
+])
+def test_step_offsets_must_be_ints(step, message):
+    with pytest.raises(TypeError) as info:
+        LatticeSpec(1, ((step,),))
+    assert str(info.value) == message
 
 
 def test_steps_must_advance():

@@ -61,7 +61,7 @@ def test_row_sums_order_guard(example1):
 def test_sums_need_at_least_one_term(example1, sums, terms):
     with pytest.raises(InvalidArgument) as info:
         sums(example1, terms)
-    assert str(info.value) == "terms must be >= 1"
+    assert str(info.value) == f"terms must be >= 1, got {terms}"
 
 
 def test_diagonal_sums_identity():
@@ -182,6 +182,16 @@ def test_hankel_output_length():
     assert len(hankel_transform([1, 2, 3, 4, 5])) == 3
     assert len(hankel_transform([1])) == 1
     assert hankel_transform([]) == []
+
+
+@pytest.mark.parametrize("bad", [2.5, True, "2"], ids=["float", "bool", "str"])
+@pytest.mark.parametrize("length", [2, 6])
+def test_hankel_checks_every_term(bad, length):
+    """The last term of an even-length sequence is never read, but it is
+    checked like every other."""
+    seq = [1, 1, 2, 5, 14][: length - 1] + [bad]
+    with pytest.raises(TypeError):
+        hankel_transform(seq)
 
 
 def test_hankel_example2_slots(example2):
