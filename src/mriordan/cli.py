@@ -74,7 +74,7 @@ def _apply(args) -> None:
     if args.terms > e.order + 1:
         raise OrderTooSmall(f"{args.terms} terms need order >= {args.terms - 1}")
     series = group.apply_ftra(e, evaluate_text(args.gf, e.order))
-    _print(format_sequence, series.coeffs[: args.terms], args.format)
+    _print(format_sequence, series[: args.terms], args.format)
 
 
 def _product(args) -> None:

@@ -254,9 +254,8 @@ _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operato
 
 
 def evaluate(node: Node, bindings: Mapping[str, Series], order: int) -> Series:
-    """Evaluate to an exact Series of the given order (an ``int``; where a
-    negative one is refused depends on the expression)."""
-    return _as_series(_value(node, bindings, _at_least(order, None, "order")), order)
+    """Evaluate to an exact Series of the given order (an ``int``, >= 0)."""
+    return _as_series(_value(node, bindings, _at_least(order, 0, "order")), order)
 
 
 def _value(node: Node, bindings: Mapping[str, Series], order: int):
@@ -303,8 +302,7 @@ def _value(node: Node, bindings: Mapping[str, Series], order: int):
                 raise EvaluationError(str(exc), link.pos, cause=exc)
         return acc
     if kind is Num:
-        # a negative order is refused by Series.constant
-        return (node.value, 0) if order >= 0 else Series.constant(node.value, order)
+        return node.value, 0
     if kind is Pow:
         base, n = _value(node.base, bindings, order), node.exponent
         if type(base) is tuple and n >= 0:

@@ -297,7 +297,7 @@ def to_matrix(e: MRiordanElement, rows: int) -> CoeffMatrix:
     them divides the matrix's stride; it is 0 only when every component is
     a constant, as for the identity, and the matrix is diagonal."""
     lists = _matrix_rows(e, rows)
-    steps = (n for c in (e.ghat, *e.fhats) for n in series._lattice(c.coeffs))
+    steps = (n for c in (e.ghat, *e.fhats) for n in series._lattice(c.scaled()[0]))
     return CoeffMatrix._built(rows, lists, e.m * gcd(*steps))
 
 

@@ -5,12 +5,12 @@ coefficient is exact.  Arithmetic truncates to the smaller operand order;
 nothing is ever zero-extended implicitly, because an extended coefficient
 would be a fabricated one.
 
-Every coefficient is an ``int`` or a ``Fraction`` whose denominator is not
-1 (see :func:`exact_coeff`).  The kernels (``*``, ``recip``,
-``compose_many``, ``compose_reverted``, ``nth_root_unit`` and ``^``) run
-on integers only: a series is also its integer numerators over one common
-denominator (see :meth:`Series.scaled`), so a rational product is one int
-convolution and one division per output coefficient, not a gcd per term.
+A series is stored in one form only, its integer numerators over their
+least common denominator (see :meth:`Series.scaled`), and every operation
+runs on integers: a rational product is one int convolution and one
+reduction, not a gcd per term.  An exact coefficient, an ``int`` or a
+``Fraction`` whose denominator is not 1 (see :func:`exact_coeff`), is made
+only where one is read: ``s[i]`` makes one, ``s.coeffs`` all of them.
 A one-shot convolution is one call of ``_convolve``, which packs two
 operands of small coefficients into one integer each and multiplies once
 (Kronecker substitution) when the schoolbook loop would multiply at least
@@ -93,33 +93,27 @@ def _at_least(n: int, low: int | None, what: str) -> int:
 
 
 class Series:
-    """Immutable truncated power series over the rationals."""
+    """Immutable truncated power series over the rationals: the integer
+    numerators ``_nums`` over ``_den >= 1``, with ``gcd(_den, *_nums) == 1``."""
 
-    __slots__ = ("coeffs", "_scaled")
-
-    coeffs: tuple
+    __slots__ = ("_nums", "_den")
 
     def __init__(self, coeffs: Iterable[Coeff]):
         cs = tuple(coeffs)
         if not cs:
             raise InvalidArgument("a series needs at least the constant coefficient")
-        if set(map(type, cs)) == {int}:
-            scaled = (cs, 1)
-        else:
-            cs = tuple(map(exact_coeff, cs))
-            scaled = None  # worked out by the first kernel that needs it
-        object.__setattr__(self, "coeffs", cs)
-        object.__setattr__(self, "_scaled", scaled)
+        nums, den = (cs, 1) if set(map(type, cs)) == {int} else scale(tuple(map(exact_coeff, cs)))
+        object.__setattr__(self, "_nums", nums)
+        object.__setattr__(self, "_den", den)
 
     @classmethod
-    def _over(cls, nums: list, den: int) -> "Series":
-        """The series nums/den, reduced to its least common denominator: the
-        one division of a kernel's integer result."""
+    def _over(cls, nums: Sequence[int], den: int) -> "Series":
+        """The series nums/den (den >= 1), reduced to its least common
+        denominator: how every operation makes its result."""
         nums, den = _reduced(nums, den)
-        nums = tuple(nums)
         s = object.__new__(cls)
-        object.__setattr__(s, "coeffs", nums if den == 1 else tuple(exact_ratio(v, den) for v in nums))
-        object.__setattr__(s, "_scaled", (nums, den))
+        object.__setattr__(s, "_nums", tuple(nums))
+        object.__setattr__(s, "_den", den)
         return s
 
     def __setattr__(self, name, value):
@@ -153,39 +147,47 @@ class Series:
     # -- basic queries -------------------------------------------------
 
     @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
+    def coeffs(self) -> tuple:
+        """The exact coefficients 0..order, each an ``int`` or a ``Fraction``
+        whose denominator is not 1.  Each read builds a new tuple from the
+        numerators; ``s[i]`` reads one coefficient."""
+        return self[:]
 
-    def __getitem__(self, n: int) -> Coeff:
-        return self.coeffs[n]
+    @property
+    def order(self) -> int:
+        return len(self._nums) - 1
+
+    def __getitem__(self, n) -> Coeff:
+        v, den = self._nums[n], self._den
+        if den == 1:
+            return v
+        return tuple(exact_ratio(u, den) for u in v) if type(n) is slice else exact_ratio(v, den)
 
     def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
+        return self._den == 1
 
     def scaled(self) -> tuple:
         """``(nums, den)`` with ``coeffs[i] == nums[i] / den``, ``den`` the
-        least common denominator; computed once per series."""
-        if self._scaled is None:
-            object.__setattr__(self, "_scaled", scale(self.coeffs))
-        return self._scaled
+        least common denominator: the stored form itself."""
+        return self._nums, self._den
 
     def truncate(self, order: int) -> "Series":
         if _at_least(order, 0, "order") >= self.order:
             return self
-        return Series(self.coeffs[: order + 1])
+        return Series._over(self._nums[: order + 1], self._den)
 
     def eq_through(self, other: "Series", order: int) -> bool:
         n = _at_least(order, 0, "order") + 1
-        return self.coeffs[:n] == other.coeffs[:n]
+        return self[:n] == other[:n]
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Series) and self.coeffs == other.coeffs
+        return isinstance(other, Series) and self._den == other._den and self._nums == other._nums
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self._nums, self._den))
 
     def __repr__(self):
-        shown = ", ".join(str(c) for c in self.coeffs[:8])
+        shown = ", ".join(str(c) for c in self[:8])
         tail = ", ..." if self.order >= 8 else ""
         return f"Series([{shown}{tail}]; order={self.order})"
 
@@ -193,18 +195,17 @@ class Series:
 
     def __add__(self, other) -> "Series":
         other = _coerce(other, self.order)
-        n = min(self.order, other.order)
-        return Series([self.coeffs[i] + other.coeffs[i] for i in range(n + 1)])
+        d = lcm(self._den, other._den)
+        ka, kb = d // self._den, d // other._den
+        return Series._over([u * ka + v * kb for u, v in zip(self._nums, other._nums)], d)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Series":
-        return Series([-c for c in self.coeffs])
+        return Series._over([-v for v in self._nums], self._den)
 
     def __sub__(self, other) -> "Series":
-        other = _coerce(other, self.order)
-        n = min(self.order, other.order)
-        return Series([self.coeffs[i] - other.coeffs[i] for i in range(n + 1)])
+        return self + -_coerce(other, self.order)
 
     def __rsub__(self, other) -> "Series":
         return _coerce(other, self.order) - self
@@ -213,8 +214,8 @@ class Series:
         """x^va A(x^sa) * x^vb B(x^sb) = x^(va+vb) (A B)(x^s), s = gcd(sa, sb):
         one convolution of the operands' numerators on that sublattice."""
         if not isinstance(other, Series):
-            other = exact_coeff(other)
-            return Series([c * other for c in self.coeffs])
+            c = exact_coeff(other)
+            return Series._over([v * c.numerator for v in self._nums], self._den * c.denominator)
         n = min(self.order, other.order)
         a, da = self.scaled()
         b, db = other.scaled()
@@ -261,32 +262,32 @@ class Series:
         """s^n = x^(v n) w^n for s = x^v w, w_0 != 0: one ``_power`` call."""
         if type(n) is not int:
             raise TypeError("series exponents must be integers")
-        if self.coeffs[0]:
+        if self._nums[0]:
             return _power(self, n, 1)
         if n < 0:
             raise DivisionByNonUnit("reciprocal of a series with zero constant term")
         if not n:
             return Series.one(self.order)
-        v = next((i for i, c in enumerate(self.coeffs) if c), self.order + 1)
+        v = next((i for i, c in enumerate(self._nums) if c), self.order + 1)
         if v * n > self.order:
             return Series.zero(self.order)
-        w = Series(self.coeffs[v : self.order + 1 - v * (n - 1)])  # through x^(order - v n)
+        w = Series._over(self._nums[v : self.order + 1 - v * (n - 1)], self._den)  # to x^(order - v n)
         return _power(w, n, 1).shift_up(v * n)
 
     # -- shifts --------------------------------------------------------
 
     def shift_up(self, k: int = 1) -> "Series":
         """Multiply by x^k exactly; order grows by k."""
-        return Series((0,) * _at_least(k, 0, "k") + self.coeffs)
+        return Series._over((0,) * _at_least(k, 0, "k") + self._nums, self._den)
 
     def shift_down(self, k: int = 1) -> "Series":
         """Divide by x^k; requires valuation >= k.  Order shrinks by k."""
         _at_least(k, 0, "k")
-        if any(self.coeffs[i] for i in range(min(k, self.order + 1))):
+        if any(self._nums[:k]):
             raise DivisionByNonUnit(f"valuation < {k}, cannot divide by x^{k}")
         if self.order < k:
             raise InvalidArgument("order too small for shift_down")
-        return Series(self.coeffs[k:])
+        return Series._over(self._nums[k:], self._den)
 
 
 def _coerce(v, order: int) -> Series:
@@ -492,16 +493,16 @@ def compose_many(outers: Sequence[Series], inner: Series) -> list:
     substituted as one in t = x^g, into the outers truncated to match, and
     each result is spread back onto x.
     """
-    if inner.coeffs[0]:
+    if inner._nums[0]:
         raise CompositionRequiresValuation(
             "composition requires the inner series to have zero constant term"
         )
     n = min(max(o.order for o in outers), inner.order)
-    g = gcd(*_lattice(inner.scaled()[0])) or n + 1  # the zero series: g past n
+    g = gcd(*_lattice(inner._nums)) or n + 1  # the zero series: g past n
     if g > 1:
         tops = [min(o.order, n) for o in outers]
         short = compose_many([o.truncate(top // g) for o, top in zip(outers, tops)],
-                             Series(inner.coeffs[: n + 1 : g]))
+                             Series._over(inner._nums[: n + 1 : g], inner._den))
         return [aerate(r, g, 0, order=top) for r, top in zip(short, tops)]
     k = isqrt(n + 1)
     pows = _powers(inner.scaled(), k, n)
@@ -549,11 +550,11 @@ def compose_reverted(outers: Sequence[Series], f: Series) -> list:
     With n = a*k + b, each output coefficient is then one dot product of
     H'q^b with q^(a*k), so an outer costs k - 1 series products.
     """
-    if f.coeffs[0] or f.order < 1 or not f.coeffs[1]:
+    if f._nums[0] or f.order < 1 or not f._nums[1]:
         raise NotRevertible("reversion requires valuation exactly 1")
     n = min(max(1, *(h.order for h in outers)), f.order)
     k = max(1, isqrt(n // (len(outers) + 1)))
-    q = Series(f.coeffs[1 : n + 1]).recip()  # x/f, exact through x^(n-1)
+    q = Series._over(f._nums[1 : n + 1], f._den).recip()  # x/f, exact through x^(n-1)
     baby = _powers(q.scaled(), k, n - 1)  # q^b
     giant = _powers(baby[k], n // k, n - 1)  # q^(a*k)
     out = []
@@ -575,7 +576,7 @@ def compose_reverted(outers: Sequence[Series], f: Series) -> list:
 def nth_root_unit(u: Series, m: int) -> Series:
     """The unique v with v^m = u and v(0) = 1."""
     _at_least(m, 1, "m")
-    if u.coeffs[0] != 1:
+    if u._nums[0] != u._den:
         raise RootRequiresUnitConstant("m-th root requires constant term 1")
     return _power(u, 1, m)
 
@@ -620,14 +621,14 @@ def aerate(s: Series, m: int, shift: int = 0, order: int | None = None) -> Serie
     order = m * s.order + shift if order is None else _at_least(order, 0, "order")
     if order > m * (s.order + 1) + shift - 1:
         raise InvalidArgument("requested order exceeds what the source determines")
-    return Series(_spread(s.coeffs[: len(range(shift, order + 1, m))], m, order + 1, shift))
+    return Series._over(_spread(s._nums[: len(range(shift, order + 1, m))], m, order + 1, shift), s._den)
 
 
 def check_block_profile(s: Series, m: int, residue: int) -> None:
     """Raise unless every nonzero coefficient sits at an index of the form
     m*n + residue with n >= 0.  (The index >= residue clause matters for
     m = 1, where the residue class alone excludes nothing.)"""
-    for i, c in enumerate(s.coeffs):
+    for i, c in enumerate(s._nums):
         if c and ((i - residue) % m != 0 or i < residue):
             raise BlockProfileViolation(
                 f"coefficient at index {i} violates residue {residue} (mod {m})",
@@ -641,7 +642,7 @@ def compress(s: Series, m: int, residue: int) -> Series:
     if _at_least(residue, 0, "residue") > s.order:
         raise InvalidArgument(f"residue {residue} exceeds the order {s.order}")
     check_block_profile(s, m, residue)
-    return Series([s.coeffs[i] for i in range(residue, s.order + 1, m)])
+    return Series._over(s._nums[residue::m], s._den)
 
 
 def catalan_series(order: int) -> Series:

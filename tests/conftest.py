@@ -3,12 +3,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from mriordan import Series, aerate, new_element
 from mriordan.cli import build_parser
 from mriordan.documents import element_from_doc
 from mriordan.golden import EXAMPLE1_DOC, EXAMPLE2_DOC, EXAMPLE3_DOC
+
+# A failing property test prints the ``@reproduce_failure`` blob of its
+# example, so that a failure seen once can be replayed; every other
+# setting keeps its default.
+settings.register_profile("mriordan", print_blob=True)
+settings.load_profile("mriordan")
 
 
 @pytest.fixture(scope="session")

@@ -32,9 +32,6 @@ COUNT_NAMES = {"m", "order", "rows", "terms", "k", "shift", "residue"}
 # not validated, new_element is.
 NOT_VALIDATED = {MRiordanElement}
 
-# where a negative order is refused depends on the expression
-NO_LOWER_BOUND = {"evaluate", "evaluate_text"}
-
 E = identity(2, 6)
 RULES = (((1, 1),), ((1, -1),))
 VALID = {
@@ -78,7 +75,6 @@ def _count_cases():
 
 
 CASES = _count_cases()
-BOUNDED = [c for c in CASES if c[0] not in NO_LOWER_BOUND]
 
 
 def _ids(cases):
@@ -117,7 +113,7 @@ def test_count_parameters_refuse_non_ints(label, get, param):
         assert str(info.value) == f"{param} must be an int, got {type(bad).__name__}"
 
 
-@pytest.mark.parametrize("label, get, param", BOUNDED, ids=_ids(BOUNDED))
+@pytest.mark.parametrize("label, get, param", CASES, ids=_ids(CASES))
 def test_count_parameters_refuse_values_below_their_bound(label, get, param):
     fn = get()
     with pytest.raises(InvalidArgument) as info:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from mriordan import (
     EvaluationError,
     ExprSyntaxError,
+    InvalidArgument,
     Series,
     UnknownIdentifier,
     evaluate,
@@ -145,6 +146,17 @@ def test_negative_power_requires_unit():
     assert evaluate_text("(1-x)^-1", 4) == Series([1, 1, 1, 1, 1])
     with pytest.raises(EvaluationError):
         evaluate_text("x^-1", 4)
+
+
+@pytest.mark.parametrize("text", ["x", "1", "1+1", "(1+x)^2", "2*x"])
+def test_a_negative_order_is_one_refusal(text):
+    """Every expression refuses order -1 with the same argument error,
+    before evaluating; x at order 0 is an error of the expression."""
+    with pytest.raises(InvalidArgument, match=r"^order must be >= 0, got -1$"):
+        evaluate_text(text, -1)
+    if "x" in text:
+        with pytest.raises(EvaluationError, match="x needs order >= 1"):
+            evaluate_text(text, 0)
 
 
 def test_division_error_is_wrapped():

@@ -786,6 +786,26 @@ def test_engines_agree_below_m_and_where_m_does_not_divide(make, m):
             assert [typed(s.coeffs) for s in (got.g, *got.f)] == [typed(s.coeffs) for s in (want.g, *want.f)]
 
 
+def test_rational_product_makes_no_exact_coefficient(monkeypatch):
+    """A product keeps every intermediate series as numerators over one
+    denominator: no exact coefficient is made until the result is read,
+    and reading it gives the values and types of the Fraction engine."""
+    rng = random.Random(24)
+    a, b = random_rational_element(rng, 3, 24), random_rational_element(rng, 3, 24)
+    calls = [0]
+    ratio = series.exact_ratio
+
+    def counted(num, den):
+        calls[0] += 1
+        return ratio(num, den)
+
+    monkeypatch.setattr(series, "exact_ratio", counted)
+    got = product(a, b)
+    assert calls[0] == 0
+    want = product_direct(a, b)
+    assert [typed(s.coeffs) for s in (got.g, *got.f)] == [typed(s.coeffs) for s in (want.g, *want.f)]
+
+
 def count_products(monkeypatch) -> list:
     """Record each product of numerators once, by its number of
     coefficients: a ``series._convolve`` call made outside a product chain,

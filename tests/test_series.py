@@ -415,14 +415,44 @@ def test_compose_reverted_requires_valuation_one(f):
         compose_reverted([Series.one(3), Series.x(3)], Series(f))
 
 
-@given(series_data, series_data)
+@given(series_data, series_data, leading_coeffs)
 @settings(max_examples=100, deadline=None)
-def test_numerators_over_the_least_common_denominator(a, b):
-    for s in (Series(a), Series(a) * Series(b)):
+def test_numerators_over_the_least_common_denominator(a, b, c):
+    """A series is stored as its numerators over their least common
+    denominator, whichever operation made it, and every reader of its
+    coefficients (``coeffs``, an index, a slice, ``==``, ``hash``) agrees
+    with the same values computed on Fractions."""
+    sa, sb = Series(a), Series(b)
+    fa, fb = list(map(Fraction, a)), list(map(Fraction, b))
+    val = next((i for i, x in enumerate(fa) if x), 0)
+    spread = [Fraction(0)] * (3 * len(a) - 1)
+    spread[1::3] = fa
+    cases = [
+        (sa, fa),
+        (sa * sb, [sum(fa[i] * fb[k - i] for i in range(k + 1)) for k in range(min(len(a), len(b)))]),
+        (sa + sb, [x + y for x, y in zip(fa, fb)]),
+        (sa - sb, [x - y for x, y in zip(fa, fb)]),
+        (-sa, [-x for x in fa]),
+        (sa * c, [x * c for x in fa]),
+        (sa / c, [x / c for x in fa]),
+        (sa.truncate(len(a) // 2), fa[: len(a) // 2 + 1]),
+        (sa.shift_up(2), [Fraction(0)] * 2 + fa),
+        (sa.shift_down(val), fa[val:]),
+        (aerate(sa, 3, 1), spread),
+        (compress(aerate(sa, 3, 1), 3, 1), fa),
+    ]
+    for s, want in cases:
         nums, den = s.scaled()
-        assert den == math.lcm(*(Fraction(c).denominator for c in s.coeffs))
+        assert den >= 1 and math.gcd(den, *nums) == 1
+        assert den == math.lcm(*(x.denominator for x in want))
         assert all(type(v) is int for v in nums)
-        assert [Fraction(v, den) for v in nums] == list(s.coeffs)
+        assert [Fraction(v, den) for v in nums] == want
+        coeffs = s.coeffs
+        assert typed(coeffs) == typed(x.numerator if x.denominator == 1 else x for x in want)
+        assert s == Series(list(coeffs)) and hash(s) == hash(Series(list(coeffs)))
+        assert typed(s[i] for i in range(len(coeffs))) == typed(coeffs)
+        assert typed([s[-1]]) == typed([coeffs[-1]])
+        assert typed(s[1:3]) == typed(coeffs[1:3]) and type(s[1:3]) is tuple
 
 
 # -- powers ---------------------------------------------------------------
