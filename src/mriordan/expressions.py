@@ -92,34 +92,40 @@ class _Tokenizer:
         self.text = text
         self.pos = 0
         self.depth = 0  # factors currently being parsed, one per nesting level
+        self.ahead = ("eof", "", -1)  # the last token scanned; reused while it starts at pos
 
     def peek(self):
+        if self.ahead[2] == self.pos:
+            return self.ahead
         t = self.text
         i = self.pos
         while i < len(t) and t[i].isspace():
             i += 1
         self.pos = i
-        if i >= len(t):
-            return ("eof", "", i)
-        ch = t[i]
-        if ch.isdecimal():  # the digits int() accepts; '²' is a digit but not decimal
+        ch = t[i : i + 1]  # "" at the end
+        if not ch:
+            tok = ("eof", "", i)
+        elif ch.isdecimal():  # the digits int() accepts; '²' is a digit but not decimal
             j = i
             while j < len(t) and t[j].isdecimal():
                 j += 1
-            return ("int", t[i:j], i)
-        if ch.isalpha() or ch == "_":
+            tok = ("int", t[i:j], i)
+        elif ch.isalpha() or ch == "_":
             j = i
             while j < len(t) and (t[j].isalnum() or t[j] == "_"):
                 j += 1
-            return ("ident", t[i:j], i)
-        if ch in "+-*/^()":
-            return (ch, ch, i)
-        raise ExprSyntaxError(f"unexpected character {ch!r}", i)
+            tok = ("ident", t[i:j], i)
+        elif ch in "+-*/^()":
+            tok = (ch, ch, i)
+        else:
+            raise ExprSyntaxError(f"unexpected character {ch!r}", i)
+        self.ahead = tok
+        return tok
 
     def next(self):
-        kind, text, pos = self.peek()
+        _, text, pos = tok = self.peek()
         self.pos = pos + len(text)
-        return kind, text, pos
+        return tok
 
 
 def is_identifier(text: str) -> bool:

@@ -9,7 +9,7 @@ the recurrence knows nothing about power series.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 from operator import add
 from typing import Sequence
 
@@ -27,19 +27,26 @@ class LatticeSpec:
     """
 
     m: int
-    rules: tuple  # tuple (per residue) of tuples of (dn, dk) source offsets
+    rules: tuple  # per residue, a tuple of (dn, dk) source offsets, stored as int pairs
 
     def __post_init__(self):
-        if len(self.rules) != _at_least(self.m, 1, "m"):
+        rules = tuple(tuple(map(_step, rule)) for rule in self.rules)
+        if len(rules) != _at_least(self.m, 1, "m"):
             raise InvalidArgument("need exactly one rule list per residue class")
-        for rule in self.rules:
-            for dn, dk in rule:
-                _at_least(dn, 1, "dn")
-                _at_least(dk, None, "dk")
+        object.__setattr__(self, "rules", rules)
 
     @classmethod
     def from_lists(cls, m: int, rules: Sequence[Sequence[Sequence[int]]]) -> "LatticeSpec":
-        return cls(m, tuple(tuple((dn, dk) for dn, dk in rule) for rule in rules))
+        return cls(m, rules)
+
+
+def _step(step) -> tuple:
+    """A rule's step as the pair (dn, dk) of checked ints."""
+    try:
+        dn, dk = step
+    except (TypeError, ValueError):
+        raise InvalidArgument(f"a lattice step must be a (dn, dk) pair, got {step!r}") from None
+    return _at_least(dn, 1, "dn"), _at_least(dk, None, "dk")
 
 
 def _acting_rules(spec: LatticeSpec, rows: int) -> list:
@@ -50,55 +57,65 @@ def _acting_rules(spec: LatticeSpec, rows: int) -> list:
 
 
 def _padded_rows(spec: LatticeSpec, rows: int):
-    """Yield (lo, row) for each row n < rows of the table t_{n,k}, exact
+    """Yield (lo, d, row) for each row n < rows of the table t_{n,k}, exact
     integers: t_{n,k} is row[lo + k], and every other entry is 0.
 
-    Row n is filled one residue class r at a time: the targets k = r, r+m,
-    ... <= n form one strided slice, and for each rule (dn, dk) of class r
-    their sources form one strided slice of row n - dn.  Every row carries
-    `lo` zeros on the left and `hi` on the right, the largest shift a rule
-    makes either way, so a source outside 0 <= k - dk <= n - dn reads a
-    stored zero.  Only the last max(dn) rows are kept for the fill.
+    Every path is a sum of acting steps, so t_{n,k} is 0 unless d, the gcd
+    of dn - dk over them, divides n - k (d = 0: unless k = n).  Row n fills
+    one residue class mod m at a time: its targets k = n (mod d) are one
+    slice of step lcm(m, d) from the first (`plan`), and for each rule
+    (dn, dk) their sources are that slice shifted by dk in row n - dn.
+    Every row carries `lo` zeros on the left and `hi` on the right, the
+    largest shift a rule makes either way, so a source outside
+    0 <= k - dk <= n - dn reads a stored zero.  Only the last max(dn) rows
+    are kept for the fill.
     """
     rules = _acting_rules(spec, _at_least(rows, 1, "rows"))  # so both pads stay below rows
     m, dks = spec.m, [dk for rule in rules for _, dk in rule]
     lo, hi = max([0, *dks]), max([0, *(-dk for dk in dks)])
     depth = max([1, *(dn for rule in rules for dn, _ in rule)])
+    d = gcd(*(dn - dk for rule in rules for dn, dk in rule))
+    gap = d or rows  # k = n (mod rows) is k = n in a row n < rows
+    step = lcm(m, gap)
+    plan = [[(lo + k, rules[k % m]) for k in range(q, min(q + step, rows), gap)]
+            for q in range(min(gap, rows))]
     width = lo + rows + hi
     row = [0] * width
     row[lo] = 1
     window = [row]  # rows n - depth .. n - 1
-    yield lo, row
+    yield lo, d, row
     for n in range(1, rows):
         row = [0] * width
-        for r, rule in enumerate(rules):
-            start, stop = lo + r, lo + n + 1
+        stop = lo + n + 1
+        for start, rule in plan[n % gap]:  # a start past n is an empty slice
             acc = None
             for dn, dk in rule:
                 if dn <= n:
-                    src = window[-dn][start - dk : stop - dk : m]
+                    src = window[-dn][start - dk : stop - dk : step]
                     acc = src if acc is None else list(map(add, acc, src))
             if acc is not None:
-                row[start:stop:m] = acc
+                row[start:stop:step] = acc
         if n >= depth:
             del window[0]
         window.append(row)
-        yield lo, row
+        yield lo, d, row
 
 
 def count_table(spec: LatticeSpec, rows: int) -> CoeffMatrix:
     """Dynamic-programming fill of t_{n,k}, exact integers, with the pads
-    of each row trimmed."""
-    table = [row[lo : lo + rows] for lo, row in _padded_rows(spec, rows)]
-    # every path to (n, k) is a sum of acting steps, so this gcd divides n - k
-    stride = gcd(*(dn - dk for rule in _acting_rules(spec, rows) for dn, dk in rule))
-    return CoeffMatrix._built(rows, table, stride)
+    of each row trimmed; its stride is the fill's d."""
+    table = []
+    for lo, d, row in _padded_rows(spec, rows):
+        table.append(row[lo : lo + rows])
+    return CoeffMatrix._built(rows, table, d)
 
 
 def left_factors(spec: LatticeSpec, terms: int) -> list:
     """Term n counts path prefixes reaching abscissa n: row sums of the
-    counting table, each summed as the fill makes its row."""
-    return [sum(row) for _, row in _padded_rows(spec, _at_least(terms, 1, "terms"))]
+    counting table, each summed over the k <= n with k = n (mod d) as the
+    fill makes its row."""
+    return [sum(row[lo + n % d : lo + n + 1 : d]) if d else row[lo + n]
+            for n, (lo, d, row) in enumerate(_padded_rows(spec, _at_least(terms, 1, "terms")))]
 
 
 @dataclass(frozen=True)

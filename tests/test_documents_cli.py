@@ -452,6 +452,21 @@ def test_cli_mistyped_document_exits_1(case, capsys, tmp_path):
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("rules, step", [
+    ("x", "'x'"),
+    ([[[1]]], "[1]"),
+    ([[[1, 1, 1]]], "[1, 1, 1]"),
+    ([[1]], "1"),
+], ids=["rules-a-string", "one-int", "three-ints", "bare-int"])
+def test_cli_lattice_step_that_is_not_a_pair_exits_1(rules, step, capsys, tmp_path):
+    """A step that is not a (dn, dk) pair is named in one error line, not
+    reported as Python's unpacking error."""
+    path = tmp_path / "lattice.json"
+    path.write_text(json.dumps({"m": 1, "rules": rules}))
+    assert run(["lattice", str(path), "--rows", "3"]) == 1
+    assert capsys.readouterr().err == f"error: a lattice step must be a (dn, dk) pair, got {step}\n"
+
+
 @pytest.mark.parametrize("argv", [["hankel"], ["interleave", "--m", "2"]])
 def test_cli_non_utf8_sequence_file_exits_1(argv, capsys, tmp_path):
     path = tmp_path / "seq.txt"

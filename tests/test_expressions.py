@@ -16,7 +16,7 @@ from mriordan import (
     sqrt_unit,
     to_text,
 )
-from mriordan.expressions import MAX_NESTING, Bin, Call, Neg, Num, Pow, Var
+from mriordan.expressions import MAX_NESTING, Bin, Call, Neg, Num, Pow, Var, _Tokenizer
 
 from conftest import exact_lists, typed
 from oracles import evaluate_direct
@@ -80,6 +80,49 @@ def test_syntax_errors_carry_offsets():
     with pytest.raises(ExprSyntaxError, match="expected '\\)'") as info:
         parse("sqrt(1+x")
     assert info.value.offset == 8
+
+
+def tokens(text, peek_first):
+    """Every token of `text` through next(), each peeked first if asked;
+    a syntax error as its (message, offset) in place of the rest."""
+    tok, out = _Tokenizer(text), []
+    try:
+        while not out or out[-1][0] != "eof":
+            ahead = tok.peek() if peek_first else None
+            out.append(tok.next())
+            assert ahead is None or out[-1] is ahead  # next() took the token peek() scanned
+    except ExprSyntaxError as exc:
+        out.append((str(exc), exc.offset))
+    return out
+
+
+def test_tokens_after_a_lookahead():
+    text = " 12 + \u0663x*(ab_1) "  # U+0663 is ARABIC-INDIC DIGIT THREE, a decimal
+    assert tokens(text, True) == tokens(text, False) == [
+        ("int", "12", 1), ("+", "+", 4), ("int", "\u0663", 6), ("ident", "x", 7), ("*", "*", 8),
+        ("(", "(", 9), ("ident", "ab_1", 10), (")", ")", 14), ("eof", "", 16),
+    ]
+    assert parse("x^\u0663") == Pow(Var("x", 0), 3, 1)
+
+
+@given(st.text(alphabet="x1\u0663\u00b2_ +-*/^()?", max_size=30))
+@settings(max_examples=200, deadline=None)
+def test_a_lookahead_changes_no_token(text):
+    assert tokens(text, True) == tokens(text, False)
+
+
+@pytest.mark.parametrize("text, message, offset", [
+    ("1 + x ? 2", "unexpected character '?'", 6),
+    ("x^\u00b2", "unexpected character '\u00b2'", 2),
+    ("(" * (MAX_NESTING + 1) + "x" + ")" * (MAX_NESTING + 1),
+     f"expression nested more than {MAX_NESTING} levels deep", MAX_NESTING),
+    ("-" * (MAX_NESTING + 1) + "x", f"expression nested more than {MAX_NESTING} levels deep", MAX_NESTING),
+], ids=["after-earlier-tokens", "superscript-two", "parentheses", "unary-minus"])
+def test_syntax_errors_after_a_lookahead(text, message, offset):
+    with pytest.raises(ExprSyntaxError) as info:
+        parse(text)
+    assert str(info.value) == f"{message} (at offset {offset})"
+    assert info.value.offset == offset
 
 
 @pytest.mark.parametrize("text", [

@@ -156,6 +156,7 @@ def lattice_specs(draw):
 
 
 FOUR_BACK = LatticeSpec.from_lists(2, [[(4, 0), (1, 1)], [(1, 1), (4, 2), (2, -1)]])
+UP1_DOWN2 = LatticeSpec.from_lists(STEPSET_1UP_2DOWN_DOC["m"], STEPSET_1UP_2DOWN_DOC["rules"])
 
 
 @given(lattice_specs(), st.integers(min_value=1, max_value=40))
@@ -168,6 +169,17 @@ FOUR_BACK = LatticeSpec.from_lists(2, [[(4, 0), (1, 1)], [(1, 1), (4, 2), (2, -1
 @example(FOUR_BACK, 3)
 @example(FOUR_BACK, 4)
 @example(FOUR_BACK, 5)
+# the sublattice k = n (mod d): d = 0 at 1 and 2 rows, 3 from 3 rows on, once (1, -2) acts
+@example(UP1_DOWN2, 1)
+@example(UP1_DOWN2, 2)
+@example(UP1_DOWN2, 3)
+@example(UP1_DOWN2, 4)
+# every step on the diagonal (d = 0): only k = n
+@example(LatticeSpec.from_lists(2, [[(1, 1), (2, 2)], [(1, 1), (3, 3)]]), 12)
+# m = 2, d = 4: row n has targets in the class of n mod 2 only
+@example(LatticeSpec.from_lists(2, [[(1, 1), (1, -3)], [(1, 1), (2, -2), (5, 1)]]), 30)
+# m = 3, d = 6: one class a row again, the slices of step 6
+@example(LatticeSpec.from_lists(3, [[(1, 1), (1, -5)], [(1, 1), (2, -4)], [(3, -3), (1, 1)]]), 40)
 @settings(max_examples=200, deadline=None)
 def test_count_table_matches_the_entry_by_entry_fill(spec, rows):
     want = count_table_direct(spec, rows)
@@ -199,3 +211,36 @@ def test_left_factors_build_no_table(monkeypatch, spec, rows):
     got = left_factors(spec(), rows)
     assert got == want
     assert all(type(v) is int for v in got)
+
+
+@pytest.mark.parametrize("call", [count_table, left_factors])
+def test_the_fill_adds_only_on_its_sublattice(monkeypatch, call):
+    """up1down2's steps keep n - k a multiple of 3, so row n has
+    floor(n/3) + 1 targets, each one addition of its two sources; a fill of
+    every k <= n makes n + 1."""
+    additions = 0
+
+    def counted(a, b):
+        nonlocal additions
+        additions += 1
+        return a + b
+
+    monkeypatch.setattr(lattice, "add", counted)
+    call(UP1_DOWN2, 90)
+    assert 0 < additions <= sum(n // 3 + 1 for n in range(90))
+
+
+@pytest.mark.parametrize("step", [(1,), (1, 1, 1), 1, "x", ()],
+                         ids=["one-int", "three-ints", "bare-int", "string", "empty"])
+def test_a_step_that_is_not_a_pair_is_refused(step):
+    with pytest.raises(InvalidArgument) as info:
+        LatticeSpec(1, ((step,),))
+    assert str(info.value) == f"a lattice step must be a (dn, dk) pair, got {step!r}"
+
+
+def test_rules_are_stored_as_tuples_of_int_pairs():
+    spec = LatticeSpec(1, [[(1, 1), [1, -2]]])
+    assert spec.rules == (((1, 1), (1, -2)),)
+    assert spec == LatticeSpec.from_lists(1, [[[1, 1], [1, -2]]]) == UP1_DOWN2
+    assert hash(spec) == hash(UP1_DOWN2)
+    assert {spec, UP1_DOWN2} == {UP1_DOWN2}
