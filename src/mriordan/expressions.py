@@ -25,7 +25,6 @@ those of pairwise evaluation.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Union
 
@@ -35,6 +34,7 @@ from .errors import (
     MRiordanError,
     UnknownIdentifier,
 )
+from .records import Frozen, _set
 from .series import Series, _at_least, catalan_series, compose, sqrt_unit
 
 RESERVED = {"x", "sqrt", "catalan"}
@@ -44,44 +44,56 @@ RESERVED = {"x", "sqrt", "catalan"}
 MAX_NESTING = 100
 
 
-@dataclass(frozen=True)
-class Num:
-    value: int
-    pos: int = 0
+class Num(Frozen):
+    __slots__ = _fields = ("value", "pos")
+
+    def __init__(self, value: int, pos: int = 0):
+        _set(self, "value", value)
+        _set(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str  # "x" or a binding name
-    pos: int = 0
+class Var(Frozen):
+    __slots__ = _fields = ("name", "pos")  # name: "x" or a binding name
+
+    def __init__(self, name: str, pos: int = 0):
+        _set(self, "name", name)
+        _set(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class Bin:
-    op: str  # '+', '-', '*', '/'
-    left: "Node"
-    right: "Node"
-    pos: int = 0
+class Bin(Frozen):
+    __slots__ = _fields = ("op", "left", "right", "pos")  # op: '+', '-', '*', '/'
+
+    def __init__(self, op: str, left: Node, right: Node, pos: int = 0):
+        _set(self, "op", op)
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class Neg:
-    arg: "Node"
-    pos: int = 0
+class Neg(Frozen):
+    __slots__ = _fields = ("arg", "pos")
+
+    def __init__(self, arg: Node, pos: int = 0):
+        _set(self, "arg", arg)
+        _set(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: "Node"
-    exponent: int
-    pos: int = 0
+class Pow(Frozen):
+    __slots__ = _fields = ("base", "exponent", "pos")
+
+    def __init__(self, base: Node, exponent: int, pos: int = 0):
+        _set(self, "base", base)
+        _set(self, "exponent", exponent)
+        _set(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class Call:
-    func: str  # 'sqrt' or 'catalan'
-    arg: "Node"
-    pos: int = 0
+class Call(Frozen):
+    __slots__ = _fields = ("func", "arg", "pos")  # func: 'sqrt' or 'catalan'
+
+    def __init__(self, func: str, arg: Node, pos: int = 0):
+        _set(self, "func", func)
+        _set(self, "arg", arg)
+        _set(self, "pos", pos)
 
 
 Node = Union[Num, Var, Bin, Neg, Pow, Call]

@@ -8,12 +8,12 @@ lattice counting) and compares it against the frozen reference data below.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from . import group, lattice, sequences
 from .documents import DEFAULT_ORDER, element_from_doc
 from .expressions import evaluate_text
 from .lattice import LatticeSpec
+from .records import Record
 
 # -- reference element documents ----------------------------------------
 
@@ -220,11 +220,13 @@ THREEFOLD_LEFT_FACTORS = [1, 1, 3, 6, 15, 34, 83, 195, 474, 1133, 2756]
 # -- fixture machinery -----------------------------------------------------
 
 
-@dataclass
-class FixtureResult:
-    name: str
-    ok: bool
-    detail: str = ""
+class FixtureResult(Record):
+    _fields = ("name", "ok", "detail")
+
+    def __init__(self, name: str, ok: bool, detail: str = ""):
+        self.name = name
+        self.ok = ok
+        self.detail = detail
 
 
 def lattice_column_series(order: int):

@@ -13,7 +13,6 @@ integers.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain
 from math import gcd, prod
@@ -29,21 +28,24 @@ from .errors import (
     NonUnitLeadingCoefficient,
     OrderTooSmall,
 )
+from .records import Frozen, _set
 from .series import Series, aerate, compose, compose_many, compose_reverted, compress
 from .series import _at_least, exact_coeff, exact_ratio, scale
 
 
-@dataclass(frozen=True)
-class MRiordanElement:
+class MRiordanElement(Frozen):
     """A validated tuple (g, f_1, ..., f_m) at a common truncation order N,
     stored in the t = x^m domain as g(x) = ghat(x^m), f_i(x) = x*fhat_i(x^m),
     with ghat of order N//m and each fhat_i of order (N-1)//m.  Build one
     with ``new_element``; the x-domain series are views."""
 
-    m: int
-    ghat: Series
-    fhats: tuple
-    order: int
+    _fields = ("m", "ghat", "fhats", "order")
+
+    def __init__(self, m: int, ghat: Series, fhats: tuple, order: int):
+        _set(self, "m", m)
+        _set(self, "ghat", ghat)
+        _set(self, "fhats", fhats)
+        _set(self, "order", order)
 
     @cached_property
     def g(self) -> Series:
@@ -75,8 +77,7 @@ class MRiordanElement:
         )
 
 
-@dataclass(frozen=True)
-class CoeffMatrix:
+class CoeffMatrix(Frozen):
     """Lower-triangular coefficient matrix, stored row-major as tuples of
     entries in the ``Series`` coefficient representation (any other type is
     a ``TypeError``, and so is a `rows` that is not an ``int``).  A shape
@@ -88,27 +89,27 @@ class CoeffMatrix:
     unless d divides n - k.  The package's own builders (``to_matrix``,
     ``@``, ``count_table``) go through ``_built`` and pass a divisor of d."""
 
-    rows: int
-    entries: tuple  # tuple of row tuples, each of length `rows`
+    _fields = ("rows", "entries")  # entries: tuple of row tuples, each of length `rows`
 
-    def __post_init__(self):
-        _at_least(self.rows, 0, "rows")
-        entries = tuple(map(tuple, self.entries))
+    def __init__(self, rows: int, entries):
+        _at_least(rows, 0, "rows")
+        entries = tuple(map(tuple, entries))
         # one type scan for an all-int matrix; only otherwise is each entry checked
         if not all(list(map(type, r)).count(int) == len(r) for r in entries):
             entries = tuple(tuple(map(exact_coeff, r)) for r in entries)
-        object.__setattr__(self, "entries", entries)
-        if len(entries) != self.rows:
-            raise InvalidArgument(f"expected {self.rows} rows, got {len(entries)}")
+        if len(entries) != rows:
+            raise InvalidArgument(f"expected {rows} rows, got {len(entries)}")
         d = 0
         for n, row in enumerate(entries):
-            if len(row) != self.rows:
-                raise InvalidArgument(f"row {n} has {len(row)} entries, expected {self.rows}")
+            if len(row) != rows:
+                raise InvalidArgument(f"row {n} has {len(row)} entries, expected {rows}")
             if any(row[n + 1 :]):
                 raise InvalidArgument(f"row {n} has a nonzero entry above the diagonal")
             if d != 1:
                 d = gcd(d, *(n - k for k in range(n) if row[k]))
-        object.__setattr__(self, "_stride", d)
+        _set(self, "rows", rows)
+        _set(self, "entries", entries)
+        _set(self, "_stride", d)
 
     @classmethod
     def _built(cls, rows: int, lists, stride: int) -> "CoeffMatrix":
@@ -351,4 +352,5 @@ def classify_subgroups(e: MRiordanElement) -> set:
 def decompose_semidirect(e: MRiordanElement):
     """Split e = (g, x, ..., x) * (1, f_1, ..., f_m)."""
     one = identity(e.m, e.order)
-    return replace(one, ghat=e.ghat), replace(one, fhats=e.fhats)
+    return (MRiordanElement(e.m, e.ghat, one.fhats, e.order),
+            MRiordanElement(e.m, one.ghat, e.fhats, e.order))

@@ -8,36 +8,53 @@ the recurrence knows nothing about power series.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, lcm
 from operator import add
 from typing import Sequence
 
 from .errors import InvalidArgument, OrderTooSmall
 from .group import CoeffMatrix
+from .records import Frozen, _set
 from .series import Series, _at_least
 
 
-@dataclass(frozen=True)
-class LatticeSpec:
+class LatticeSpec(Frozen):
     """Recurrence t_{n,k} = sum over rules[k % m] of t_{n-dn, k-dk}.
 
     Every dn must be >= 1 so the fill makes progress; boundary is
     t_{0,k} = [k = 0] and t_{n,k} = 0 outside 0 <= k <= n.
     """
 
-    m: int
-    rules: tuple  # per residue, a tuple of (dn, dk) source offsets, stored as int pairs
+    _fields = ("m", "rules")  # rules: per residue, a tuple of (dn, dk) offsets as int pairs
 
-    def __post_init__(self):
-        rules = tuple(tuple(map(_step, rule)) for rule in self.rules)
-        if len(rules) != _at_least(self.m, 1, "m"):
+    def __init__(self, m: int, rules):
+        try:
+            rules = tuple(rules)
+        except TypeError:
+            raise InvalidArgument(
+                f"rules must be a list of step lists, one per residue class, got {rules!r}"
+            ) from None
+        rules = tuple(_rule(q, rule) for q, rule in enumerate(rules))
+        if len(rules) != _at_least(m, 1, "m"):
             raise InvalidArgument("need exactly one rule list per residue class")
-        object.__setattr__(self, "rules", rules)
+        _set(self, "m", m)
+        _set(self, "rules", rules)
 
     @classmethod
     def from_lists(cls, m: int, rules: Sequence[Sequence[Sequence[int]]]) -> "LatticeSpec":
         return cls(m, rules)
+
+
+def _rule(q: int, rule) -> tuple:
+    """rules[q], the steps into the columns k = q (mod m), as checked pairs."""
+    try:
+        steps = tuple(rule)
+    except TypeError:
+        raise InvalidArgument(
+            f"rules[{q}], the steps into residue class {q}, must be a list of "
+            f"(dn, dk) steps, got {rule!r}"
+        ) from None
+    return tuple(map(_step, steps))
 
 
 def _step(step) -> tuple:
@@ -118,12 +135,15 @@ def left_factors(spec: LatticeSpec, terms: int) -> list:
             for n, (lo, d, row) in enumerate(_padded_rows(spec, _at_least(terms, 1, "terms")))]
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    ok: bool
-    checked_rows: int
-    checked_cols: int
-    mismatch: tuple | None = None  # (n, k, expected_from_table, got_from_gf)
+class VerifyReport(Frozen):
+    _fields = ("ok", "checked_rows", "checked_cols", "mismatch")
+
+    def __init__(self, ok: bool, checked_rows: int, checked_cols: int,
+                 mismatch: tuple | None = None):  # (n, k, expected_from_table, got_from_gf)
+        _set(self, "ok", ok)
+        _set(self, "checked_rows", checked_rows)
+        _set(self, "checked_cols", checked_cols)
+        _set(self, "mismatch", mismatch)
 
     def __str__(self):
         if self.ok:

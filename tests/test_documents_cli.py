@@ -467,6 +467,25 @@ def test_cli_lattice_step_that_is_not_a_pair_exits_1(rules, step, capsys, tmp_pa
     assert capsys.readouterr().err == f"error: a lattice step must be a (dn, dk) pair, got {step}\n"
 
 
+@pytest.mark.parametrize("m, rules, message", [
+    (1, 5, "rules must be a list of step lists, one per residue class, got 5"),
+    (1, [5], "rules[0], the steps into residue class 0, must be a list of (dn, dk) steps, got 5"),
+    (1, [None], "rules[0], the steps into residue class 0, must be a list of (dn, dk) steps, "
+                "got None"),
+    (2, [[[1, 1]], 5],
+     "rules[1], the steps into residue class 1, must be a list of (dn, dk) steps, got 5"),
+    (1, ["ab"], "a lattice step must be a (dn, dk) pair, got 'a'"),
+], ids=["int", "int-rule", "null-rule", "second-rule", "string-rule"])
+def test_cli_lattice_rules_that_are_not_lists_exit_1(m, rules, message, capsys, tmp_path):
+    """A rule list that is not a list, or a rule that is not a list of
+    steps, is named with its residue class in one error line, not reported
+    as Python's iteration error.  A string is a list of one-character steps."""
+    path = tmp_path / "lattice.json"
+    path.write_text(json.dumps({"m": m, "rules": rules}))
+    assert run(["lattice", str(path), "--rows", "3"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("argv", [["hankel"], ["interleave", "--m", "2"]])
 def test_cli_non_utf8_sequence_file_exits_1(argv, capsys, tmp_path):
     path = tmp_path / "seq.txt"

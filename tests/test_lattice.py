@@ -238,6 +238,19 @@ def test_a_step_that_is_not_a_pair_is_refused(step):
     assert str(info.value) == f"a lattice step must be a (dn, dk) pair, got {step!r}"
 
 
+@pytest.mark.parametrize("m, rules, message", [
+    (1, 5, "rules must be a list of step lists, one per residue class, got 5"),
+    (1, None, "rules must be a list of step lists, one per residue class, got None"),
+    (1, [5], "rules[0], the steps into residue class 0, must be a list of (dn, dk) steps, got 5"),
+    (2, [[(1, 1)], 7],
+     "rules[1], the steps into residue class 1, must be a list of (dn, dk) steps, got 7"),
+], ids=["int", "none", "int-rule", "second-rule"])
+def test_rules_that_are_not_lists_are_refused(m, rules, message):
+    with pytest.raises(InvalidArgument) as info:
+        LatticeSpec(m, rules)
+    assert str(info.value) == message
+
+
 def test_rules_are_stored_as_tuples_of_int_pairs():
     spec = LatticeSpec(1, [[(1, 1), [1, -2]]])
     assert spec.rules == (((1, 1), (1, -2)),)
